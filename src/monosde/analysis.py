@@ -4,7 +4,8 @@ exponential-stability probes, and numeric assumption checking.
 All Monte Carlo work routes through the engine; reductions here are
 single-threaded and deterministic. Reference runs share the fine Brownian
 lattice with the coarse runs (common random numbers), which is what makes
-difference curves usable at feasible path counts.
+difference curves usable at feasible path counts; _coupled_runs drives a
+reference and its coarse runs through one engine pass over that lattice.
 """
 
 import math
@@ -14,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .engine import EnsembleSpec, simulate_ensemble
-from .noise import CHUNK_STEPS, NoisePlan, _chunk_normals, fine_increments_block
+from .noise import CHUNK_STEPS, NoisePlan, fine_increments_block
 from .schemes import SchemeConfig
 
 
@@ -154,79 +155,58 @@ def _wls_line(x, y, sigma):
 
 
 def _coupling_checksum(plan):
-    """Checksum of the first fine increments of path 0; equal checksums mean
-    two plans consume the same underlying Brownian lattice."""
-    z = _chunk_normals(plan.master_seed, 0, 0, plan.d)
-    take = min(CHUNK_STEPS, plan.n_fine_steps)
-    return float(np.sum(math.sqrt(plan.fine_delta) * z[:take, 0, :]))
+    """Sum of path 0's first fine increments; equal checksums mean two plans
+    consume the same underlying Brownian lattice."""
+    take = min(8, plan.n_fine_steps)
+    return float(np.sum(fine_increments_block(plan, 0, 0, take)[:, 0, :]))
 
 
-def _reference_run(problem, reference, observable, x0, horizon, seed, rec,
-                   threads):
-    """Reference ensemble on its own fine lattice, recorded every rec units."""
-    plan_r = NoisePlan(seed, reference.n_paths, problem.dim_noise,
-                       fine_delta=reference.delta, horizon=horizon)
-    spec_r = EnsembleSpec(x0, reference.n_paths, horizon, seed=seed,
-                          record_dt=rec, threads=threads)
-    ref_scheme = SchemeConfig(reference.kind, reference.delta,
-                              alpha=reference.alpha)
-    res_r = simulate_ensemble(problem, ref_scheme, spec_r, [observable],
-                              plan=plan_r)
-    return res_r, plan_r
-
-
-def _coupled_runs(problem, scheme, reference, observable, x0, horizon,
-                  n_paths, seed, record_dt, threads, shared_ref=None):
-    """Run scheme and reference on the shared fine lattice; returns both results."""
-    m = round(scheme.delta / reference.delta)
-    if m < 1 or abs(m * reference.delta - scheme.delta) > 1e-9 * scheme.delta:
-        raise ValueError("reference delta %g does not divide scheme delta %g"
-                         % (reference.delta, scheme.delta))
-    d = problem.dim_noise
-    plan_c = NoisePlan(seed, n_paths, d, fine_delta=reference.delta,
-                       horizon=horizon, coarsen_factor=m)
-    rec = record_dt if record_dt is not None else scheme.delta
-    spec_c = EnsembleSpec(x0, n_paths, horizon, seed=seed, record_dt=rec,
-                          threads=threads)
-    res_c = simulate_ensemble(problem, scheme, spec_c, [observable], plan=plan_c)
-    if shared_ref is not None:
-        res_r, plan_r = shared_ref
-    else:
-        res_r, plan_r = _reference_run(problem, reference, observable, x0,
-                                       horizon, seed, rec, threads)
-    return res_c, res_r, plan_c, plan_r
-
-
-def weak_error_curve(problem, scheme, observable, x0, horizon, n_paths,
-                     seed=0, record_dt=0.25, reference=None, threads=1,
-                     shared_ref=None):
-    """Weak-error curve err(t) = |E g(X^delta_t) - E g(ref_t)| with CRN coupling.
-
-    The reference ensemble (default: standard tamed, delta 5e-4, 10^4 paths)
-    runs on the fine lattice; the scheme consumes the coarsened increments of
-    the same lattice, so both see the same Brownian paths. The plateau flag is
-    true iff the max error over [T/2, T] does not exceed the max over
-    [0, T/2] by more than twice the largest pointwise 95% half-width.
+def _coupled_runs(problem, reference, observable, horizon, seed, threads,
+                  curves):
+    """Run coarse curves and their fine references in one pass over the noise.
 
     Args:
-        problem, scheme, observable: what to run and measure.
-        x0: initial state (scalar or vector).
-        horizon: final time T.
-        n_paths: scheme ensemble size.
-        seed: master seed shared by both ensembles.
-        record_dt: record grid spacing (must be a multiple of both deltas).
-        reference: ReferenceConfig override.
-        threads: engine worker cap.
-        shared_ref: optional (EnsembleResult, NoisePlan) pair from a previous
-            _reference_run with identical protocol, to avoid recomputation.
+        curves: (scheme, x0, n_paths, record_dt) per coarse run. Every scheme
+            delta must be a multiple of reference.delta. One reference run
+            is made per distinct (x0, record_dt), placed before the first
+            curve that uses it.
 
     Returns:
-        WeakErrorReport.
+        One (curve result, reference result, curve plan, reference plan)
+        tuple per curve.
     """
-    reference = reference if reference is not None else ReferenceConfig()
-    res_c, res_r, plan_c, plan_r = _coupled_runs(
-        problem, scheme, reference, observable, x0, horizon, n_paths, seed,
-        record_dt, threads, shared_ref=shared_ref)
+    d = problem.dim_noise
+    ref_scheme = SchemeConfig(reference.kind, reference.delta,
+                              alpha=reference.alpha)
+    plan_r = NoisePlan(seed, reference.n_paths, d, fine_delta=reference.delta,
+                       horizon=horizon)
+    runs = []
+    ref_index = {}
+    pairs = []
+    for scheme, x0, n_paths, rec in curves:
+        m = round(scheme.delta / reference.delta)
+        if m < 1 or abs(m * reference.delta - scheme.delta) > 1e-9 * scheme.delta:
+            raise ValueError("reference delta %g does not divide scheme delta %g"
+                             % (reference.delta, scheme.delta))
+        plan_c = NoisePlan(seed, n_paths, d, fine_delta=reference.delta,
+                           horizon=horizon, coarsen_factor=m)
+        spec_c = EnsembleSpec(x0, n_paths, horizon, seed=seed, record_dt=rec,
+                              threads=threads)
+        key = (tuple(np.atleast_1d(np.asarray(x0, dtype=float))), rec)
+        if key not in ref_index:
+            ref_index[key] = len(runs)
+            spec_r = EnsembleSpec(x0, reference.n_paths, horizon, seed=seed,
+                                  record_dt=rec, threads=threads)
+            runs.append((ref_scheme, spec_r, [observable], plan_r))
+        pairs.append((len(runs), ref_index[key]))
+        runs.append((scheme, spec_c, [observable], plan_c))
+    results = simulate_ensemble(problem, *runs[0], coupled=runs[1:])
+    return [(results[c], results[r], runs[c][3], plan_r) for c, r in pairs]
+
+
+def _weak_error_report(scheme, observable, horizon, seed, coupled):
+    """WeakErrorReport of one (curve, reference, plans) tuple of _coupled_runs."""
+    res_c, res_r, plan_c, plan_r = coupled
     sc = res_c.observables[observable.name]
     sr = res_r.observables[observable.name]
     if sc.times.shape != sr.times.shape or not np.allclose(sc.times, sr.times):
@@ -251,6 +231,38 @@ def weak_error_curve(problem, scheme, observable, x0, horizon, n_paths,
         coupling_checksum_ref=_coupling_checksum(plan_r))
 
 
+def weak_error_curve(problem, scheme, observable, x0, horizon, n_paths,
+                     seed=0, record_dt=0.25, reference=None, threads=1):
+    """Weak-error curve err(t) = |E g(X^delta_t) - E g(ref_t)| with CRN coupling.
+
+    The reference ensemble (default: standard tamed, delta 5e-4, 10^4 paths)
+    runs on the fine lattice; the scheme consumes the coarsened increments of
+    the same lattice, so both see the same Brownian paths, and both runs
+    share one pass over the noise. The plateau flag is true iff the max
+    error over [T/2, T] does not exceed the max over [0, T/2] by more than
+    twice the largest pointwise 95% half-width.
+
+    Args:
+        problem, scheme, observable: what to run and measure.
+        x0: initial state (scalar or vector).
+        horizon: final time T.
+        n_paths: scheme ensemble size.
+        seed: master seed shared by both ensembles.
+        record_dt: record grid spacing (must be a multiple of both deltas);
+            None records every scheme step.
+        reference: ReferenceConfig override.
+        threads: engine worker cap.
+
+    Returns:
+        WeakErrorReport.
+    """
+    reference = reference if reference is not None else ReferenceConfig()
+    rec = record_dt if record_dt is not None else scheme.delta
+    coupled, = _coupled_runs(problem, reference, observable, horizon, seed,
+                             threads, [(scheme, x0, n_paths, rec)])
+    return _weak_error_report(scheme, observable, horizon, seed, coupled)
+
+
 def convergence_order(problem, kind, deltas, observable, x0, horizon, n_paths,
                       seed=0, record_dt=0.25, reference=None, exact_mean=None,
                       alpha=None, threads=1):
@@ -259,7 +271,9 @@ def convergence_order(problem, kind, deltas, observable, x0, horizon, n_paths,
     Errors come either from common-random-number reference runs (default) or,
     when exact_mean is given, from the closed-form curve t -> E[g(x_t)]
     evaluated on the record grid. The fit is weighted least squares of
-    log sup-err against log delta, with delta-method weights hw/err.
+    log sup-err against log delta, with delta-method weights hw/err. With a
+    reference, every delta and one reference run per distinct record grid
+    share one pass over the noise.
 
     Args:
         deltas: at least 3 step sizes in geometric progression.
@@ -279,38 +293,38 @@ def convergence_order(problem, kind, deltas, observable, x0, horizon, n_paths,
     if np.any(np.abs(ratios - ratios[0]) > 1e-9 * ratios[0]):
         raise ValueError("deltas must form a geometric progression")
 
-    sup_errors = np.zeros(deltas.size)
-    halfwidths = np.zeros(deltas.size)
-    ref_cache = {}
-    for i, delta in enumerate(deltas):
+    curves = []
+    for delta in deltas:
         scheme = SchemeConfig(kind, float(delta), alpha=alpha)
         rd = record_dt
         if rd is not None:
             k = round(rd / delta)
             if k < 1 or abs(k * delta - rd) > 1e-9 * max(1.0, rd):
                 rd = None
-        if exact_mean is not None:
+        curves.append((scheme, rd))
+
+    errors = []
+    if exact_mean is not None:
+        for scheme, rd in curves:
             spec = EnsembleSpec(x0, n_paths, horizon, seed=seed,
                                 record_dt=rd, threads=threads)
             res = simulate_ensemble(problem, scheme, spec, [observable])
             series = res.observables[observable.name]
             err = np.abs(series.mean - np.asarray(exact_mean(series.times)))
-            hw = 1.96 * np.nan_to_num(series.stderr)
-        else:
-            ref = reference if reference is not None else ReferenceConfig()
-            shared = None
-            if rd is not None:
-                if rd not in ref_cache:
-                    ref_cache[rd] = _reference_run(problem, ref, observable,
-                                                   x0, horizon, seed, rd,
-                                                   threads)
-                shared = ref_cache[rd]
-            rep = weak_error_curve(problem, scheme, observable, x0, horizon,
-                                   n_paths, seed=seed, record_dt=rd,
-                                   reference=ref, threads=threads,
-                                   shared_ref=shared)
-            err = rep.err
-            hw = rep.halfwidth
+            errors.append((err, 1.96 * np.nan_to_num(series.stderr)))
+    else:
+        ref = reference if reference is not None else ReferenceConfig()
+        coupled = _coupled_runs(
+            problem, ref, observable, horizon, seed, threads,
+            [(scheme, x0, n_paths, rd if rd is not None else scheme.delta)
+             for scheme, rd in curves])
+        for (scheme, _), pair in zip(curves, coupled):
+            rep = _weak_error_report(scheme, observable, horizon, seed, pair)
+            errors.append((rep.err, rep.halfwidth))
+
+    sup_errors = np.zeros(deltas.size)
+    halfwidths = np.zeros(deltas.size)
+    for i, (err, hw) in enumerate(errors):
         k = int(np.argmax(err))
         sup_errors[i] = err[k]
         halfwidths[i] = hw[k]
@@ -330,7 +344,8 @@ def local_weak_error_profile(problem, scheme, states, deltas, observable,
 
     For each (x, delta) the scheme takes a single step while a standard tamed
     reference integrates the same Brownian path with inner_factor substeps;
-    the tabulated error is the difference of the g-means at time delta.
+    the tabulated error is the difference of the g-means at time delta. All
+    starts of one delta share one pass over the noise.
 
     Returns:
         ProfileReport: rows plus a growth exponent (err vs |x| at the largest
@@ -339,28 +354,23 @@ def local_weak_error_profile(problem, scheme, states, deltas, observable,
     """
     deltas = sorted(float(v) for v in deltas)
     states = [np.atleast_1d(np.asarray(s, dtype=float)) for s in states]
-    rows = []
-    for x in states:
-        for delta in deltas:
-            fine = delta / inner_factor
-            plan_c = NoisePlan(seed, n_paths, problem.dim_noise, fine_delta=fine,
-                               horizon=delta, coarsen_factor=inner_factor)
-            plan_r = NoisePlan(seed, n_paths, problem.dim_noise, fine_delta=fine,
-                               horizon=delta)
-            one = SchemeConfig(scheme.kind, delta, alpha=scheme.alpha,
-                               solve=scheme.solve)
-            ref = SchemeConfig("tamed", fine)
-            spec = EnsembleSpec(x, n_paths, delta, seed=seed, threads=threads)
-            spec_r = EnsembleSpec(x, n_paths, delta, seed=seed, record_dt=delta,
-                                  threads=threads)
-            res_c = simulate_ensemble(problem, one, spec, [observable], plan=plan_c)
-            res_r = simulate_ensemble(problem, ref, spec_r, [observable], plan=plan_r)
+    cells = {}
+    for j, delta in enumerate(deltas):
+        one = SchemeConfig(scheme.kind, delta, alpha=scheme.alpha,
+                           solve=scheme.solve)
+        ref = ReferenceConfig(kind="tamed", delta=delta / inner_factor,
+                              n_paths=n_paths)
+        coupled = _coupled_runs(problem, ref, observable, delta, seed, threads,
+                                [(one, x, n_paths, delta) for x in states])
+        for i, (res_c, res_r, _, _) in enumerate(coupled):
             gc = res_c.observables[observable.name]
             gr = res_r.observables[observable.name]
             err = float(abs(gc.mean[-1] - gr.mean[-1]))
             hw = 1.96 * math.sqrt(np.nan_to_num(gc.stderr[-1]) ** 2
                                   + np.nan_to_num(gr.stderr[-1]) ** 2)
-            rows.append(ProfileRow(x=x, delta=delta, err=err, halfwidth=hw))
+            cells[i, j] = ProfileRow(x=states[i], delta=delta, err=err,
+                                     halfwidth=hw)
+    rows = [cells[i, j] for i in range(len(states)) for j in range(len(deltas))]
 
     growth = None
     big_d = deltas[-1]

@@ -17,13 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .analysis import (ReferenceConfig, check_assumptions, convergence_order,
-                       local_weak_error_profile, ses_probe, weak_error_curve)
+from .analysis import (ReferenceConfig, _coupled_runs, check_assumptions,
+                       convergence_order, local_weak_error_profile, ses_probe,
+                       weak_error_curve)
 from .config import ConfigError, config_hash, get_value, load_config
 from .engine import (AllPathsBlewUp, EnsembleSpec, moment_recursion_audit,
                      simulate_ensemble)
 from .implicit_map import DeltaTooLarge, NonConvergence
-from .noise import NoisePlan
 from .output import standard_meta, write_csv, write_json
 from .problems import make_observable, make_problem, ou_exact_mean
 from .schemes import SchemeConfig
@@ -172,31 +172,25 @@ def cmd_fig1(ctx):
         raise ConfigError("fig1.ref_delta must divide fig1.delta")
 
     obs = make_observable("identity")
-    d = problem.dim_noise
+    reference = ReferenceConfig(kind="tamed", delta=ref_delta, n_paths=ref_paths)
+    ref_scheme = SchemeConfig("tamed", ref_delta)
+    curves = [("tamed", SchemeConfig("tamed", delta))]
+    curves += [("tte_a%s" % _fmt(a), SchemeConfig("tte", delta, alpha=a))
+               for a in alphas]
+    pairs = _coupled_runs(problem, reference, obs, horizon, ctx.seed,
+                          ctx.threads, [(scheme, x0, n_paths, delta)
+                                        for x0 in x0s for _, scheme in curves])
     summary = {}
-    for x0 in x0s:
+    for i, x0 in enumerate(x0s):
         key = "x0=%s" % _fmt(x0)
-        plan_r = NoisePlan(ctx.seed, ref_paths, d, fine_delta=ref_delta,
-                           horizon=horizon)
-        spec_r = EnsembleSpec(x0, ref_paths, horizon, seed=ctx.seed,
-                              record_dt=delta, threads=ctx.threads)
-        ref_scheme = SchemeConfig("tamed", ref_delta)
-        ref = simulate_ensemble(problem, ref_scheme, spec_r, [obs], plan=plan_r)
+        mine = pairs[i * len(curves):(i + 1) * len(curves)]
+        ref = mine[0][1]
         rser = ref.observables[obs.name]
         write_csv(ctx.out / ("fig1_x0-%s_reference.csv" % _fmt(x0)),
                   _run_meta(ctx, problem, ref_scheme, x0),
                   _series_columns(ref, rser))
-
-        plan_c = NoisePlan(ctx.seed, n_paths, d, fine_delta=ref_delta,
-                           horizon=horizon, coarsen_factor=m)
-        spec_c = EnsembleSpec(x0, n_paths, horizon, seed=ctx.seed,
-                              record_dt=delta, threads=ctx.threads)
-        curves = [("tamed", SchemeConfig("tamed", delta))]
-        curves += [("tte_a%s" % _fmt(a), SchemeConfig("tte", delta, alpha=a))
-                   for a in alphas]
         summary[key] = {}
-        for label, scheme in curves:
-            res = simulate_ensemble(problem, scheme, spec_c, [obs], plan=plan_c)
+        for (label, scheme), (res, _, _, _) in zip(curves, mine):
             ser = res.observables[obs.name]
             write_csv(ctx.out / ("fig1_x0-%s_%s.csv" % (_fmt(x0), label)),
                       _run_meta(ctx, problem, scheme, x0),

@@ -5,6 +5,12 @@ Each block accumulates its own partial sums; blocks may run on a thread pool,
 but partials are always combined in ascending block order, so results are
 bitwise identical for any thread count.
 
+A block walks its fine rows once, one chunk-aligned window at a time, so each
+fine row is drawn at most once per pass. Runs coupled on the same fine
+lattice (a reference and its coarse schemes) share that pass: every run
+takes the window's rows at its own width and coarsening factor, and gets the
+result it would get alone.
+
 Blow-up policy: a path whose next state is non-finite or leaves the ball of
 radius blowup_threshold is frozen at its last good state and excluded from
 every later statistic (it still counts in n_paths and in n_blowups). If no
@@ -12,7 +18,6 @@ path survives to the end, AllPathsBlewUp is raised with the partial result
 attached.
 """
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
@@ -113,24 +118,20 @@ def _snap_record_steps(record_times, delta, n_coarse):
     return np.asarray(steps, dtype=np.int64)
 
 
-def simulate_ensemble(problem, scheme, spec, observables=(), plan=None):
-    """Run one scheme over an ensemble of Brownian paths.
+@dataclass
+class _Run:
+    """One validated scheme run of a pass."""
 
-    Args:
-        problem: SdeProblem.
-        scheme: SchemeConfig; scheme.delta is the stepping resolution.
-        spec: EnsembleSpec.
-        observables: iterable of Observable; each gets a mean series.
-        plan: optional NoisePlan for common-random-number coupling. Its
-            coarse_delta must equal scheme.delta and its horizon/paths must
-            cover the spec. Default: a fresh plan on the scheme's own lattice.
+    scheme: object
+    spec: EnsembleSpec
+    observables: list
+    plan: NoisePlan
+    stepper: object
+    rec_steps: np.ndarray
+    x0: np.ndarray
 
-    Returns:
-        EnsembleResult with moment and observable series over record times.
 
-    Raises:
-        AllPathsBlewUp: when no surviving path remains at the final time.
-    """
+def _prepare_run(problem, scheme, spec, observables=(), plan=None):
     delta = scheme.delta
     if plan is None:
         plan = NoisePlan(spec.seed, spec.n_paths, problem.dim_noise,
@@ -158,27 +159,75 @@ def simulate_ensemble(problem, scheme, spec, observables=(), plan=None):
         if n_coarse % k_rec != 0:
             raise ValueError("horizon is not a whole number of record intervals")
         rec_steps = np.arange(0, n_coarse + 1, k_rec, dtype=np.int64)
-    times = rec_steps * delta
-    n_out = rec_steps.size
+    return _Run(scheme, spec, list(observables), plan,
+                make_stepper(problem, scheme), rec_steps, x0)
 
-    stepper = make_stepper(problem, scheme)
-    observables = list(observables)
-    orders = tuple(spec.moment_orders)
+
+def simulate_ensemble(problem, scheme, spec, observables=(), plan=None,
+                      coupled=None):
+    """Run one scheme over an ensemble of Brownian paths.
+
+    Args:
+        problem: SdeProblem.
+        scheme: SchemeConfig; scheme.delta is the stepping resolution.
+        spec: EnsembleSpec; its threads cap the pool of the whole pass.
+        observables: iterable of Observable; each gets a mean series.
+        plan: optional NoisePlan for common-random-number coupling. Its
+            coarse_delta must equal scheme.delta and its horizon/paths must
+            cover the spec. Default: a fresh plan on the scheme's own lattice.
+        coupled: optional list of further (scheme, spec, observables, plan)
+            runs driven by the same pass over the noise. Every run's plan
+            (None means the default plan) must share this plan's seed,
+            fine_delta and fine step count. Each run gets exactly the result
+            it would get alone.
+
+    Returns:
+        EnsembleResult with moment and observable series over record times;
+        with coupled, a list of them, this run's first and then the coupled
+        runs in order.
+
+    Raises:
+        AllPathsBlewUp: when no surviving path remains at the final time
+            (with coupled, for the first run in order where that happens).
+        ValueError: on an invalid spec or plan, or a coupled run on another
+            fine lattice.
+    """
+    runs = [_prepare_run(problem, scheme, spec, observables, plan)]
+    runs += [_prepare_run(problem, *args) for args in (coupled or ())]
+    lead = runs[0].plan
+    for run in runs[1:]:
+        for name in ("master_seed", "fine_delta", "n_fine_steps"):
+            if getattr(run.plan, name) != getattr(lead, name):
+                raise ValueError("coupled run has plan.%s %r, expected %r"
+                                 % (name, getattr(run.plan, name),
+                                    getattr(lead, name)))
+
+    n_blocks = max(run.plan.n_blocks for run in runs)
 
     def run_block(b):
-        return _run_block(problem, stepper, plan, spec, observables, orders,
-                          rec_steps, x0, b)
+        return _run_block(runs, b)
 
-    blocks = range(plan.n_blocks)
-    if spec.threads > 1 and plan.n_blocks > 1:
+    blocks = range(n_blocks)
+    if spec.threads > 1 and n_blocks > 1:
         with ThreadPoolExecutor(max_workers=spec.threads) as pool:
             partials = list(pool.map(run_block, blocks))
     else:
         partials = [run_block(b) for b in blocks]
 
-    # fixed-order reduction: ascending block index, elementwise adds
+    results = [_reduce(run, [part[i] for part in partials if part[i] is not None])
+               for i, run in enumerate(runs)]
+    for result in results:
+        if result.n_active[-1] == 0:
+            raise AllPathsBlewUp(result)
+    return results[0] if coupled is None else results
+
+
+def _reduce(run, partials):
+    """Fixed-order reduction: ascending block index, elementwise adds."""
+    n_out = run.rec_steps.size
+    orders = tuple(run.spec.moment_orders)
     counts = np.zeros(n_out, dtype=np.int64)
-    obs_sum = np.zeros((n_out, len(observables)))
+    obs_sum = np.zeros((n_out, len(run.observables)))
     obs_sq = np.zeros_like(obs_sum)
     mom_sum = np.zeros((n_out, len(orders)))
     mom_sq = np.zeros_like(mom_sum)
@@ -191,19 +240,18 @@ def simulate_ensemble(problem, scheme, spec, observables=(), plan=None):
         mom_sq += part[4]
         blowups += part[5]
 
+    delta = run.scheme.delta
+    times = run.rec_steps * delta
     result = EnsembleResult(
-        times=times, n_paths=spec.n_paths, n_active=counts,
-        n_blowups=int(blowups), scheme_kind=scheme.kind, delta=delta,
-        seed=plan.master_seed, blowup_threshold=spec.blowup_threshold)
+        times=times, n_paths=run.spec.n_paths, n_active=counts,
+        n_blowups=int(blowups), scheme_kind=run.scheme.kind, delta=delta,
+        seed=run.plan.master_seed, blowup_threshold=run.spec.blowup_threshold)
     for j, p in enumerate(orders):
         mean, se = _mean_stderr(mom_sum[:, j], mom_sq[:, j], counts)
         result.moments[p] = MomentSeries(p, times, mean, se)
-    for j, obs in enumerate(observables):
+    for j, obs in enumerate(run.observables):
         mean, se = _mean_stderr(obs_sum[:, j], obs_sq[:, j], counts)
         result.observables[obs.name] = ObservableSeries(obs.name, times, mean, se)
-
-    if counts[-1] == 0:
-        raise AllPathsBlewUp(result)
     return result
 
 
@@ -217,48 +265,94 @@ def _mean_stderr(s, sq, counts):
     return mean, se
 
 
-def _run_block(problem, stepper, plan, spec, observables, orders,
-               rec_steps, x0, b):
-    size = plan.block_size(b)
-    m = plan.coarsen_factor
-    x = np.broadcast_to(x0, (size, x0.size)).astype(float).copy()
-    active = np.ones(size, dtype=bool)
+def _run_block(runs, b):
+    """Step every run that has path block b through one pass over its fine
+    rows, chunk by chunk; returns each run's partial sums (None where the
+    run has no block b)."""
+    states = [_BlockRun(run, b) if b < run.plan.n_blocks else None
+              for run in runs]
+    live = [st for st in states if st is not None]
+    widest = max(live, key=lambda st: st.size).run.plan
+    end = max(st.fine_end for st in live)
+    s = 0
+    while s < end:
+        e = min((s // CHUNK_STEPS + 1) * CHUNK_STEPS, end)
+        fine = None
+        if any(st.wants_noise() for st in live):
+            fine = fine_increments_block(widest, b, s, e - s)
+        for st in live:
+            st.advance(fine, e)
+        s = e
+    return [None if st is None else st.partial() for st in states]
 
-    n_out = rec_steps.size
-    counts = np.zeros(n_out, dtype=np.int64)
-    obs_sum = np.zeros((n_out, len(observables)))
-    obs_sq = np.zeros_like(obs_sum)
-    mom_sum = np.zeros((n_out, len(orders)))
-    mom_sq = np.zeros_like(mom_sum)
 
-    def record(j):
-        xa = x[active]
-        counts[j] = xa.shape[0]
+class _BlockRun:
+    """One run's paths in one block: state, survivors and partial sums.
+
+    Fine rows arrive in windows that need not hold whole coarse steps; the
+    fewer than m rows of an unfinished step carry over to the next window,
+    so every coarse increment sums the same m rows in the same order.
+    """
+
+    def __init__(self, run, b):
+        self.run = run
+        self.size = run.plan.block_size(b)
+        self.m = run.plan.coarsen_factor
+        self.n_coarse = int(run.rec_steps[-1])
+        self.fine_end = self.n_coarse * self.m
+        self.orders = tuple(run.spec.moment_orders)
+        self.x = np.broadcast_to(run.x0, (self.size, run.x0.size)).astype(float).copy()
+        self.active = np.ones(self.size, dtype=bool)
+
+        n_out = run.rec_steps.size
+        self.counts = np.zeros(n_out, dtype=np.int64)
+        self.obs_sum = np.zeros((n_out, len(run.observables)))
+        self.obs_sq = np.zeros_like(self.obs_sum)
+        self.mom_sum = np.zeros((n_out, len(self.orders)))
+        self.mom_sq = np.zeros_like(self.mom_sum)
+
+        self.step_idx = 0
+        self.ptr = 0
+        self.leftover = None
+        if run.rec_steps[0] == 0:
+            self.record(0)
+            self.ptr = 1
+
+    def record(self, j):
+        xa = self.x[self.active]
+        self.counts[j] = xa.shape[0]
         if xa.shape[0] == 0:
             return
-        for i, obs in enumerate(observables):
+        for i, obs in enumerate(self.run.observables):
             g = obs.eval(xa)
-            obs_sum[j, i] = np.sum(g)
-            obs_sq[j, i] = np.sum(g * g)
+            self.obs_sum[j, i] = np.sum(g)
+            self.obs_sq[j, i] = np.sum(g * g)
         nrm = np.linalg.norm(xa, axis=-1)
-        for i, p in enumerate(orders):
+        for i, p in enumerate(self.orders):
             v = nrm**p
-            mom_sum[j, i] = np.sum(v)
-            mom_sq[j, i] = np.sum(v * v)
+            self.mom_sum[j, i] = np.sum(v)
+            self.mom_sq[j, i] = np.sum(v * v)
 
-    ptr = 0
-    if rec_steps[0] == 0:
-        record(0)
-        ptr = 1
-    n_coarse = int(rec_steps[-1])
-    window = max(1, CHUNK_STEPS // m)
-    step_idx = 0
-    while step_idx < n_coarse:
-        take = min(window, n_coarse - step_idx)
+    def wants_noise(self):
+        return self.step_idx < self.n_coarse and bool(self.active.any())
+
+    def advance(self, fine, e):
+        """Take the coarse steps completed by the fine rows before index e;
+        fine holds the window's rows, or is None when no run needs them."""
+        m = self.m
+        take = min(e, self.fine_end) // m - self.step_idx
         win = None
-        if active.any():
-            fine = fine_increments_block(plan, b, step_idx * m, take * m)
-            win = _coarsen(fine, m)
+        if fine is not None and self.wants_noise():
+            rows = fine[:, :self.size]
+            if self.leftover is not None:
+                rows = np.concatenate([self.leftover, rows])
+            used = take * m
+            win = _coarsen(rows[:used], m)
+            self.leftover = rows[used:].copy() if used < rows.shape[0] else None
+        x, active, stepper = self.x, self.active, self.run.stepper
+        threshold = self.run.spec.blowup_threshold
+        rec_steps = self.run.rec_steps
+        n_out = rec_steps.size
         for i in range(take):
             if win is not None:
                 idx = np.nonzero(active)[0]
@@ -267,14 +361,17 @@ def _run_block(problem, stepper, plan, spec, observables, orders,
                     finite = np.all(np.isfinite(y), axis=-1)
                     with np.errstate(over="ignore", invalid="ignore"):
                         ok = finite & (np.linalg.norm(np.where(finite[..., None], y, 0.0), axis=-1)
-                                       <= spec.blowup_threshold)
+                                       <= threshold)
                     x[idx[ok]] = y[ok]
                     active[idx[~ok]] = False
-            step_idx += 1
-            if ptr < n_out and step_idx == rec_steps[ptr]:
-                record(ptr)
-                ptr += 1
-    return counts, obs_sum, obs_sq, mom_sum, mom_sq, int(size - active.sum())
+            self.step_idx += 1
+            if self.ptr < n_out and self.step_idx == rec_steps[self.ptr]:
+                self.record(self.ptr)
+                self.ptr += 1
+
+    def partial(self):
+        return (self.counts, self.obs_sum, self.obs_sq, self.mom_sum,
+                self.mom_sq, int(self.size - self.active.sum()))
 
 
 def drift_step_audit(problem, scheme, radii=None, n_directions=8, seed=0):

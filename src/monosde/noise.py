@@ -9,13 +9,18 @@ how many threads consume them. That is what makes common-random-number
 coupling across step sizes work: a run at delta = m * fine_delta sees
 exactly the sums of the fine increments of the reference run.
 
+A read draws only the leading rows of a chunk that it needs; the generator
+fills rows in order, so those rows equal the same rows of a whole-chunk
+draw bit for bit. The engine reads each fine row of a block at most once
+per pass, and coupled runs on one lattice share that read.
+
 Coarse increments are always formed by _coarsen (in-order sequential
 addition of the m fine rows), never by np.sum, so the result is bitwise
 identical no matter the array layout of the caller.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -85,18 +90,19 @@ class BrownianPath:
     increments: np.ndarray  # (n_steps, d)
 
 
-def _chunk_normals(master_seed, block, chunk, d):
-    """Standard normals for one (block, chunk), shape (CHUNK_STEPS, BLOCK_PATHS, d)."""
+def _chunk_normals(master_seed, block, chunk, d, rows=CHUNK_STEPS):
+    """Leading rows of one (block, chunk) of standard normals, shape
+    (rows, BLOCK_PATHS, d); equal to the first rows of the whole chunk."""
     key = np.array([master_seed & _MASK64, ((block << 32) | chunk) & _MASK64],
                    dtype=np.uint64)
     gen = np.random.Generator(np.random.Philox(key=key))
-    return gen.standard_normal((CHUNK_STEPS, BLOCK_PATHS, d))
+    return gen.standard_normal((rows, BLOCK_PATHS, d))
 
 
 def _coarsen(fine, m):
     """Sum groups of m consecutive leading-axis rows, in index order."""
     if m == 1:
-        return fine.copy()
+        return fine
     out = fine[0::m].copy()
     for j in range(1, m):
         out += fine[j::m]
@@ -119,6 +125,7 @@ def fine_increments_block(plan, block_index, step_start, n_steps):
         raise IndexError("block_index out of range")
     if step_start < 0 or step_start + n_steps > plan.n_fine_steps:
         raise IndexError("fine step range out of range")
+    size = plan.block_size(block_index)
     rows = []
     s = step_start
     end = step_start + n_steps
@@ -126,11 +133,11 @@ def fine_increments_block(plan, block_index, step_start, n_steps):
         chunk = s // CHUNK_STEPS
         lo = s % CHUNK_STEPS
         take = min(CHUNK_STEPS - lo, end - s)
-        z = _chunk_normals(plan.master_seed, block_index, chunk, plan.d)
-        rows.append(z[lo:lo + take])
+        z = _chunk_normals(plan.master_seed, block_index, chunk, plan.d, lo + take)
+        rows.append(z[lo:, :size])
         s += take
     out = rows[0] if len(rows) == 1 else np.concatenate(rows, axis=0)
-    return math.sqrt(plan.fine_delta) * out[:, :plan.block_size(block_index), :]
+    return math.sqrt(plan.fine_delta) * out
 
 
 def increments_for(plan, path_index, level="fine"):
@@ -152,16 +159,11 @@ def increments_for(plan, path_index, level="fine"):
         raise ValueError('level must be "fine" or "coarse"')
     if path_index < 0 or path_index >= plan.n_paths:
         raise IndexError("path_index out of range")
-    block = path_index // BLOCK_PATHS
-    col = path_index % BLOCK_PATHS
-    rows = []
-    n_chunks = (plan.n_fine_steps + CHUNK_STEPS - 1) // CHUNK_STEPS
-    for chunk in range(n_chunks):
-        z = _chunk_normals(plan.master_seed, block, chunk, plan.d)
-        lo = chunk * CHUNK_STEPS
-        take = min(CHUNK_STEPS, plan.n_fine_steps - lo)
-        rows.append(z[:take, col, :])
-    fine = math.sqrt(plan.fine_delta) * np.concatenate(rows, axis=0)
+    # a plan that ends at this path reads only the block columns up to it
+    upto = replace(plan, n_paths=path_index + 1)
+    block = fine_increments_block(upto, path_index // BLOCK_PATHS, 0,
+                                  plan.n_fine_steps)
+    fine = block[:, path_index % BLOCK_PATHS, :].copy()
     if level == "fine":
         return BrownianPath(path_index, "fine", plan.fine_delta, fine)
     coarse = _coarsen(fine, plan.coarsen_factor)

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 import monosde as m
-from monosde.analysis import ReferenceConfig
+from monosde.analysis import ReferenceConfig, _coupling_checksum
 
 FIG1 = m.make_fig1()
 OU = m.make_linear_1d()
@@ -27,6 +27,15 @@ def test_weak_error_curve_structure():
     assert rep.n_blowups_curve == 0 and rep.n_blowups_ref == 0
     # curve and reference rode the same underlying increments
     assert rep.coupling_checksum_curve == rep.coupling_checksum_ref
+
+
+def test_coupling_checksum_tells_lattices_apart():
+    base = m.NoisePlan(4, 10, 1, fine_delta=0.01, horizon=1.0)
+    same = m.NoisePlan(4, 3, 1, fine_delta=0.01, horizon=1.0, coarsen_factor=5)
+    assert _coupling_checksum(base) == _coupling_checksum(same)
+    for other in (m.NoisePlan(5, 10, 1, fine_delta=0.01, horizon=1.0),
+                  m.NoisePlan(4, 10, 1, fine_delta=0.02, horizon=1.0)):
+        assert _coupling_checksum(other) != _coupling_checksum(base)
 
 
 def test_weak_error_plateau_definition():
