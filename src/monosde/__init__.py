@@ -8,11 +8,11 @@ fits, moment audits, an exponential-stability probe, and a numeric checker
 for the structural drift/diffusion conditions.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.1.1"
 
-from .analysis import (AssumptionReport, OrderReport, ProfileReport,
-                       ReferenceConfig, SesProbeReport, WeakErrorReport,
-                       check_assumptions, convergence_order,
+from .analysis import (AssumptionReport, NonFiniteEstimate, OrderReport,
+                       ProfileReport, ReferenceConfig, SesProbeReport,
+                       WeakErrorReport, check_assumptions, convergence_order,
                        local_weak_error_profile, ses_probe, weak_error_curve)
 from .engine import (AllPathsBlewUp, EnsembleResult, EnsembleSpec,
                      MomentSeries, ObservableSeries, drift_step_audit,
@@ -25,19 +25,19 @@ from .problems import (AssumptionConstants, Observable, SdeProblem,
                        check_derivatives, make_coupled_2d, make_cubic_1d,
                        make_fig1, make_linear_1d, make_observable,
                        make_problem, ou_exact_mean, ou_exact_var)
-from .schemes import (KINDS, SchemeConfig, StepInput, epsilon_delta,
-                      make_stepper, select_alpha, step_explicit_em,
-                      step_implicit_euler, step_split_step,
-                      step_tamed_standard, step_tamed_truncated)
+from .schemes import (KINDS, SchemeConfig, epsilon_delta, make_stepper,
+                      select_alpha, step_explicit_em, step_implicit_euler,
+                      step_split_step, step_tamed_standard,
+                      step_tamed_truncated)
 
 __all__ = [
     "__version__",
     "AllPathsBlewUp", "AssumptionConstants", "AssumptionReport",
     "BrownianPath", "DeltaTooLarge", "EnsembleResult", "EnsembleSpec",
     "ImplicitSolveConfig", "KINDS", "MomentSeries", "NoisePlan",
-    "NonConvergence", "Observable", "ObservableSeries", "OrderReport",
-    "ProfileReport", "ReferenceConfig", "SchemeConfig", "SdeProblem",
-    "SesProbeReport", "StepInput", "WeakErrorReport",
+    "NonConvergence", "NonFiniteEstimate", "Observable", "ObservableSeries",
+    "OrderReport", "ProfileReport", "ReferenceConfig", "SchemeConfig",
+    "SdeProblem", "SesProbeReport", "WeakErrorReport",
     "check_assumptions", "check_derivatives", "convergence_order",
     "drift_step_audit", "epsilon_delta", "fdelta_derivative_bounds_check",
     "fdelta_gradient", "increments_for", "local_weak_error_profile",

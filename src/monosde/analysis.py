@@ -19,6 +19,15 @@ from .noise import CHUNK_STEPS, NoisePlan, fine_increments_block
 from .schemes import SchemeConfig
 
 
+class NonFiniteEstimate(ArithmeticError):
+    """An estimated curve has non-finite entries; .count says how many."""
+
+    def __init__(self, what, count, total):
+        self.count = int(count)
+        super().__init__("%s is non-finite at %d of %d record times"
+                         % (what, self.count, total))
+
+
 @dataclass
 class ReferenceConfig:
     """Fine benchmark ensemble; defaults follow the standard protocol
@@ -486,6 +495,10 @@ def ses_probe(problem, f, initial_points, horizon, n_paths, fine_delta,
     Returns:
         SesProbeReport. decay_detected is True when the fit used >= 3 points
         and gamma_hat exceeds max(0.05, 2 gamma_stderr).
+
+    Raises:
+        NonFiniteEstimate: when the gradient curve has a non-finite entry,
+            as when the explicit tangent run overflows from a far start.
     """
     n = problem.dim_state
     points = [np.broadcast_to(np.atleast_1d(np.asarray(p, dtype=float)), (n,))
@@ -514,6 +527,10 @@ def ses_probe(problem, f, initial_points, horizon, n_paths, fine_delta,
     sel = np.argmax(stack, axis=0)
     grad_norm = stack[sel, np.arange(stack.shape[1])]
     grad_se = np.stack([c[2] for c in per_point])[sel, np.arange(stack.shape[1])]
+    bad = int(np.sum(~np.isfinite(grad_norm)))
+    if bad:
+        raise NonFiniteEstimate("ses gradient estimate grad_norm", bad,
+                                grad_norm.size)
 
     gamma, gamma_se, used = _fit_decay(times, grad_norm, grad_se)
     detected = (gamma is not None and used >= 3

@@ -11,6 +11,11 @@ lattice (a reference and its coarse schemes) share that pass: every run
 takes the window's rows at its own width and coarsening factor, and gets the
 result it would get alone.
 
+While every path of a block is active, a step takes the block's whole state
+array and writes the new states back in place; from the first frozen path
+on, the block gathers its active rows before each step and scatters the
+survivors back. Both give the same bits, since a stepper acts row by row.
+
 Blow-up policy: a path whose next state is non-finite or leaves the ball of
 radius blowup_threshold is frozen at its last good state and excluded from
 every later statistic (it still counts in n_paths and in n_blowups). If no
@@ -24,6 +29,7 @@ from typing import Optional
 
 import numpy as np
 
+from .implicit_map import _norm
 from .noise import CHUNK_STEPS, NoisePlan, _coarsen, fine_increments_block
 from .schemes import epsilon_delta, make_stepper, select_alpha
 
@@ -265,6 +271,13 @@ def _mean_stderr(s, sq, counts):
     return mean, se
 
 
+def _survivors(y, threshold):
+    """Rows of y that are finite and lie in the blow-up ball."""
+    finite = np.all(np.isfinite(y), axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return finite & (_norm(np.where(finite[..., None], y, 0.0)) <= threshold)
+
+
 def _run_block(runs, b):
     """Step every run that has path block b through one pass over its fine
     rows, chunk by chunk; returns each run's partial sums (None where the
@@ -303,6 +316,7 @@ class _BlockRun:
         self.orders = tuple(run.spec.moment_orders)
         self.x = np.broadcast_to(run.x0, (self.size, run.x0.size)).astype(float).copy()
         self.active = np.ones(self.size, dtype=bool)
+        self.all_active = True
 
         n_out = run.rec_steps.size
         self.counts = np.zeros(n_out, dtype=np.int64)
@@ -319,7 +333,7 @@ class _BlockRun:
             self.ptr = 1
 
     def record(self, j):
-        xa = self.x[self.active]
+        xa = self.x if self.all_active else self.x[self.active]
         self.counts[j] = xa.shape[0]
         if xa.shape[0] == 0:
             return
@@ -327,7 +341,7 @@ class _BlockRun:
             g = obs.eval(xa)
             self.obs_sum[j, i] = np.sum(g)
             self.obs_sq[j, i] = np.sum(g * g)
-        nrm = np.linalg.norm(xa, axis=-1)
+        nrm = _norm(xa)
         for i, p in enumerate(self.orders):
             v = nrm**p
             self.mom_sum[j, i] = np.sum(v)
@@ -354,14 +368,20 @@ class _BlockRun:
         rec_steps = self.run.rec_steps
         n_out = rec_steps.size
         for i in range(take):
-            if win is not None:
+            if win is not None and self.all_active:
+                y = stepper(x, win[i])
+                ok = _survivors(y, threshold)
+                if ok.all():
+                    x[...] = y
+                else:
+                    x[ok] = y[ok]
+                    active[~ok] = False
+                    self.all_active = False
+            elif win is not None:
                 idx = np.nonzero(active)[0]
                 if idx.size:
                     y = stepper(x[idx], win[i][idx])
-                    finite = np.all(np.isfinite(y), axis=-1)
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        ok = finite & (np.linalg.norm(np.where(finite[..., None], y, 0.0), axis=-1)
-                                       <= threshold)
+                    ok = _survivors(y, threshold)
                     x[idx[ok]] = y[ok]
                     active[idx[~ok]] = False
             self.step_idx += 1

@@ -43,6 +43,15 @@ class ImplicitSolveConfig:
     delta_max_check: bool = True
 
 
+def _norm(v):
+    """Euclidean norm over the last axis. One component is its abs, which
+    equals the 1-D norm bit for bit wherever the square neither overflows
+    nor underflows, and skips the square, the sum and the root."""
+    if v.shape[-1] == 1:
+        return np.abs(v[..., 0])
+    return np.linalg.norm(v, axis=-1)
+
+
 def _residual(problem, z, y, delta):
     return z - y - delta * problem.drift(z)
 
@@ -55,6 +64,12 @@ def solve_fdelta(problem, y, delta, config=None):
     finish fall through to a damped fixed-point sweep and, in one dimension,
     to guarded bisection (the residual is strictly increasing in z for
     monotone drifts, so a sign-change bracket always exists).
+
+    In one dimension the Newton step is the division g / (1 - delta*U0'(z))
+    and residuals are absolute values; both equal the batched linear solve
+    and the vector norm that larger N uses bit for bit, so the scalar path
+    changes no result. An exactly zero pivot ends Newton there, as a
+    singular solve does for N >= 2.
 
     Args:
         problem: SdeProblem supplying drift and drift_jacobian.
@@ -84,12 +99,12 @@ def solve_fdelta(problem, y, delta, config=None):
     eye = np.eye(n)
     # residual tolerance scales with the state so solves remain feasible for
     # very large |y| (float64 cannot reach 1e-12 absolutes at scale 1e6)
-    tol = cfg.abs_tol * np.maximum(1.0, np.linalg.norm(y, axis=-1))
+    tol = cfg.abs_tol * np.maximum(1.0, _norm(y))
     u0y = problem.drift(y)
     z_pred = y + delta * u0y
     g_pred = _residual(problem, z_pred, y, delta)
-    r_pred = np.linalg.norm(g_pred, axis=-1)
-    r_id = np.linalg.norm(delta * u0y, axis=-1)
+    r_pred = _norm(g_pred)
+    r_id = _norm(delta * u0y)
     # start from the explicit predictor unless it lands somewhere worse than y
     use_pred = np.isfinite(r_pred) & (r_pred <= r_id)
     z = np.where(use_pred[..., None], z_pred, y)
@@ -97,26 +112,32 @@ def solve_fdelta(problem, y, delta, config=None):
     r = np.where(use_pred, r_pred, r_id)
 
     for _ in range(cfg.max_newton_iters):
-        if np.all(r <= tol):
+        done = r <= tol
+        if done.all():
             break
         jac = eye - delta * problem.drift_jacobian(z)
-        try:
-            step = np.linalg.solve(jac, g[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            break
-        step = np.where((r <= tol)[..., None], 0.0, step)
-        t = np.ones(r.shape)
+        if n == 1:
+            if not jac.all():
+                break
+            step = g / jac[..., 0]
+        else:
+            try:
+                step = np.linalg.solve(jac, g[..., None])[..., 0]
+            except np.linalg.LinAlgError:
+                break
+        step = np.where(done[..., None], 0.0, step)
+        t = 1.0
         z_try = z - step
         g_try = _residual(problem, z_try, y, delta)
-        r_try = np.linalg.norm(g_try, axis=-1)
+        r_try = _norm(g_try)
         for _ in range(12):
             bad = ~np.isfinite(r_try) | ((r_try >= r) & (r > tol))
-            if not np.any(bad):
+            if not bad.any():
                 break
             t = np.where(bad, 0.5 * t, t)
             z_try = z - t[..., None] * step
             g_try = _residual(problem, z_try, y, delta)
-            r_try = np.linalg.norm(g_try, axis=-1)
+            r_try = _norm(g_try)
         keep = ~np.isfinite(r_try) | (r_try >= r)
         z = np.where(keep[..., None], z, z_try)
         g = np.where(keep[..., None], g, g_try)
@@ -134,7 +155,7 @@ def solve_fdelta(problem, y, delta, config=None):
             break
         z_try = z - theta[..., None] * g
         g_try = _residual(problem, z_try, y, delta)
-        r_try = np.linalg.norm(g_try, axis=-1)
+        r_try = _norm(g_try)
         better = np.isfinite(r_try) & (r_try < r) & live
         z = np.where(better[..., None], z_try, z)
         g = np.where(better[..., None], g_try, g)
@@ -148,7 +169,7 @@ def solve_fdelta(problem, y, delta, config=None):
     if n == 1:
         z = _bisect_1d(problem, z, y, delta, r, tol, cfg)
         g = _residual(problem, z, y, delta)
-        r = np.linalg.norm(g, axis=-1)
+        r = _norm(g)
 
     if np.any(r > tol):
         idx = np.unravel_index(int(np.argmax(r)), r.shape) if r.ndim else ()

@@ -136,8 +136,14 @@ def fine_increments_block(plan, block_index, step_start, n_steps):
         z = _chunk_normals(plan.master_seed, block_index, chunk, plan.d, lo + take)
         rows.append(z[lo:, :size])
         s += take
+    scale = math.sqrt(plan.fine_delta)
+    if len(rows) == 1 and size < BLOCK_PATHS:
+        # a compact copy of the narrow columns frees the full-width draw
+        return scale * rows[0]
+    # a concatenation or a full-width draw is this read's own array
     out = rows[0] if len(rows) == 1 else np.concatenate(rows, axis=0)
-    return math.sqrt(plan.fine_delta) * out
+    out *= scale
+    return out
 
 
 def increments_for(plan, path_index, level="fine"):

@@ -232,7 +232,7 @@ def make_cubic_1d(a, b, noise_scale=_SQRT2):
         raise ValueError("cubic_1d requires b >= 0")
 
     def drift(x):
-        return -x**3 - a * x
+        return -(x * x * x) - a * x
 
     def drift_jac(x):
         return (-3.0 * x**2 - a)[..., None]
@@ -327,8 +327,8 @@ def make_coupled_2d(a, b, sigma1=(0.1, 0.0), sigma2=(0.0, 0.1),
 
     def drift(x):
         x1, x2 = x[..., 0], x[..., 1]
-        return np.stack([-x1 - a * x1**3 - x2**2 * x1,
-                         -x2 - b * x2**3 - x1**2 * x2], axis=-1)
+        return np.stack([-x1 - a * (x1 * x1 * x1) - x2**2 * x1,
+                         -x2 - b * (x2 * x2 * x2) - x1**2 * x2], axis=-1)
 
     def drift_jac(x):
         x1, x2 = x[..., 0], x[..., 1]

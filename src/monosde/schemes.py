@@ -40,12 +40,6 @@ class SchemeConfig:
             raise ValueError("delta must be positive")
 
 
-@dataclass
-class StepInput:
-    x: np.ndarray   # states, (..., N)
-    dB: np.ndarray  # Brownian increments over one step, (..., d)
-
-
 def step_explicit_em(problem, x, dB, delta):
     return x + delta * problem.drift(x) + problem.noise_term(x, dB)
 
@@ -136,8 +130,3 @@ def make_stepper(problem, config):
         mod = make_modified_fields(problem, delta, config.solve)
         return lambda x, dB: step_explicit_em(mod, x, dB, delta)
     raise ValueError("unknown scheme kind %r" % kind)
-
-
-def step(problem, config, inp):
-    """Single-shot convenience wrapper around make_stepper."""
-    return make_stepper(problem, config)(inp.x, inp.dB)

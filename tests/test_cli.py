@@ -113,6 +113,21 @@ def test_ses_on_ou(tmp_path):
     assert doc["decay_detected"]
 
 
+def test_ses_nonfinite_curve_exits_nonzero(tmp_path, capsys):
+    # the explicit tangent run overflows from x0 = 100; a NaN curve must not
+    # pass for a result
+    cfg = _write(tmp_path, "ses.cfg",
+                 "ses.points = [100.0]\nses.horizon = 5\nses.n_paths = 512\n"
+                 "ses.second = false\n")
+    out = tmp_path / "o"
+    with np.errstate(all="ignore"):
+        rc = main(["ses", "--config", cfg, "--out", str(out)])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "non-finite at 20 of 21 record times" in err
+    assert not (out / "ses.csv").exists()
+
+
 def test_check_reports_conditions(tmp_path):
     cfg = _write(tmp_path, "chk.cfg",
                  "problem.name = cubic1d\nproblem.a = 1.0\nproblem.b = 2.0\n")

@@ -1,6 +1,10 @@
 """Tests for the Monte Carlo ensemble engine."""
+import math
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import monosde as m
 
@@ -170,3 +174,70 @@ def test_result_metadata():
     assert r.delta == 0.05
     assert r.seed == 17
     assert r.n_paths == 32
+
+
+def _per_path_run(scheme, spec):
+    """The engine's statistics from a loop over single paths: each path
+    steps on its own increments_for noise and freezes at its last good state
+    once a step leaves the blow-up ball or is non-finite."""
+    plan = m.NoisePlan(spec.seed, spec.n_paths, 1, fine_delta=scheme.delta,
+                       horizon=spec.horizon)
+    stepper = m.make_stepper(FIG1, scheme)
+    n_out = plan.n_coarse_steps + 1
+    n_active = np.zeros(n_out, dtype=np.int64)
+    total = np.zeros(n_out)
+    scale = np.zeros(n_out)
+    blowups = 0
+    for p in range(spec.n_paths):
+        inc = m.increments_for(plan, p).increments
+        x = np.array([[float(spec.x0)]])
+        alive = True
+        for k in range(n_out):
+            if k and alive:
+                y = stepper(x, inc[k - 1][None])
+                if np.all(np.isfinite(y)) and abs(y[0, 0]) <= spec.blowup_threshold:
+                    x = y
+                else:
+                    alive = False
+                    blowups += 1
+            if alive:
+                n_active[k] += 1
+                total[k] += x[0, 0]
+                scale[k] += abs(x[0, 0])
+    return n_active, blowups, total, scale
+
+
+@settings(max_examples=12, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(kind=st.sampled_from(["em", "tamed"]),
+       x0=st.floats(-2.5, 2.5),
+       log_margin=st.floats(-1.3, 0.5),
+       n_paths=st.integers(1, 300),
+       threads=st.integers(1, 3))
+# explicit Euler from 4.4 overflows to inf and NaN on most paths, a few
+# steps in; an infinite threshold leaves only the finiteness check
+@example(kind="em", x0=4.4, log_margin=math.inf, n_paths=200, threads=2)
+def test_freezing_mid_block_matches_per_path_loop(kind, x0, log_margin,
+                                                  n_paths, threads):
+    # a threshold a little above |x0| freezes paths after some all-active
+    # steps and moves the engine onto its gather path; the statistics must
+    # match a loop over single paths
+    scheme = m.SchemeConfig(kind, 0.1)
+    spec = m.EnsembleSpec(x0, n_paths, 1.5, seed=5, threads=threads,
+                          blowup_threshold=abs(x0) + 10.0 ** log_margin)
+    obs = [m.make_observable("identity")]
+    with np.errstate(over="ignore", invalid="ignore"):
+        n_active, blowups, total, scale = _per_path_run(scheme, spec)
+        if n_active[-1] == 0:
+            with pytest.raises(m.AllPathsBlewUp) as exc:
+                m.simulate_ensemble(FIG1, scheme, spec, obs)
+            res = exc.value.result
+        else:
+            res = m.simulate_ensemble(FIG1, scheme, spec, obs)
+    np.testing.assert_array_equal(res.n_active, n_active)
+    assert res.n_blowups == blowups
+    live = n_active > 0
+    mean = res.observables["identity"].mean
+    assert np.all(np.isnan(mean[~live]))
+    err = np.abs(mean[live] - total[live] / n_active[live])
+    assert np.all(err <= 1e-12 * scale[live] / n_active[live])

@@ -128,3 +128,17 @@ def test_solver_handles_large_inputs():
     z = m.solve_fdelta(CUBIC, np.array([1e6]), 0.05)
     resid = z - 1e6 - 0.05 * CUBIC.drift(z)
     np.testing.assert_allclose(resid, 0.0, atol=1e-6 * 1e6)
+
+
+@pytest.mark.parametrize("delta", [0.01, 0.05, 0.2])
+def test_batch_solve_equals_single_solves_bitwise(delta):
+    # every entry of a 1-D batch gets the bits it gets when solved alone,
+    # at small, unit, x0 = 100 and very large scales
+    rng = np.random.default_rng(3)
+    mags = np.array([1e-3, 1.0, 100.0, 1e6])
+    y = np.concatenate([mags, -mags, mags * rng.uniform(0.5, 2.0, 4),
+                        rng.uniform(-150.0, 150.0, 20), [0.0]])[:, None]
+    batch = m.solve_fdelta(CUBIC, y, delta)
+    for i in range(y.shape[0]):
+        single = m.solve_fdelta(CUBIC, y[i:i + 1], delta)
+        assert single.tobytes() == batch[i:i + 1].tobytes(), y[i, 0]
