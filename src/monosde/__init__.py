@@ -10,9 +10,9 @@ for the structural drift/diffusion conditions.
 
 __version__ = "0.1.1"
 
-from .analysis import (AssumptionReport, NonFiniteEstimate, OrderReport,
-                       ProfileReport, ReferenceConfig, SesProbeReport,
-                       WeakErrorReport, check_assumptions, convergence_order,
+from .analysis import (AssumptionReport, OrderReport, ProfileReport,
+                       ReferenceConfig, SesProbeReport, WeakErrorReport,
+                       check_assumptions, convergence_order,
                        local_weak_error_profile, ses_probe, weak_error_curve)
 from .engine import (AllPathsBlewUp, EnsembleResult, EnsembleSpec,
                      MomentSeries, ObservableSeries, drift_step_audit,
@@ -35,9 +35,9 @@ __all__ = [
     "AllPathsBlewUp", "AssumptionConstants", "AssumptionReport",
     "BrownianPath", "DeltaTooLarge", "EnsembleResult", "EnsembleSpec",
     "ImplicitSolveConfig", "KINDS", "MomentSeries", "NoisePlan",
-    "NonConvergence", "NonFiniteEstimate", "Observable", "ObservableSeries",
-    "OrderReport", "ProfileReport", "ReferenceConfig", "SchemeConfig",
-    "SdeProblem", "SesProbeReport", "WeakErrorReport",
+    "NonConvergence", "Observable", "ObservableSeries", "OrderReport",
+    "ProfileReport", "ReferenceConfig", "SchemeConfig", "SdeProblem",
+    "SesProbeReport", "WeakErrorReport",
     "check_assumptions", "check_derivatives", "convergence_order",
     "drift_step_audit", "epsilon_delta", "fdelta_derivative_bounds_check",
     "fdelta_gradient", "increments_for", "local_weak_error_profile",

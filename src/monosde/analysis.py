@@ -20,12 +20,7 @@ from .schemes import SchemeConfig
 
 
 class NonFiniteEstimate(ArithmeticError):
-    """An estimated curve has non-finite entries; .count says how many."""
-
-    def __init__(self, what, count, total):
-        self.count = int(count)
-        super().__init__("%s is non-finite at %d of %d record times"
-                         % (what, self.count, total))
+    """An estimated curve has non-finite entries."""
 
 
 @dataclass
@@ -529,8 +524,9 @@ def ses_probe(problem, f, initial_points, horizon, n_paths, fine_delta,
     grad_se = np.stack([c[2] for c in per_point])[sel, np.arange(stack.shape[1])]
     bad = int(np.sum(~np.isfinite(grad_norm)))
     if bad:
-        raise NonFiniteEstimate("ses gradient estimate grad_norm", bad,
-                                grad_norm.size)
+        raise NonFiniteEstimate(
+            "ses gradient estimate grad_norm is non-finite at %d of %d "
+            "record times" % (bad, grad_norm.size))
 
     gamma, gamma_se, used = _fit_decay(times, grad_norm, grad_se)
     detected = (gamma is not None and used >= 3

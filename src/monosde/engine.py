@@ -11,10 +11,11 @@ lattice (a reference and its coarse schemes) share that pass: every run
 takes the window's rows at its own width and coarsening factor, and gets the
 result it would get alone.
 
-While every path of a block is active, a step takes the block's whole state
-array and writes the new states back in place; from the first frozen path
-on, the block gathers its active rows before each step and scatters the
-survivors back. Both give the same bits, since a stepper acts row by row.
+Each step takes a block's whole state array, frozen rows included, and
+writes a new state back in place only for the paths that are still active
+and survive it. A stepper acts row by row, so an active path gets the bits
+it would get alone; a frozen row is stepped from its last good state and
+the result is dropped.
 
 Blow-up policy: a path whose next state is non-finite or leaves the ball of
 radius blowup_threshold is frozen at its last good state and excluded from
@@ -316,7 +317,6 @@ class _BlockRun:
         self.orders = tuple(run.spec.moment_orders)
         self.x = np.broadcast_to(run.x0, (self.size, run.x0.size)).astype(float).copy()
         self.active = np.ones(self.size, dtype=bool)
-        self.all_active = True
 
         n_out = run.rec_steps.size
         self.counts = np.zeros(n_out, dtype=np.int64)
@@ -333,7 +333,7 @@ class _BlockRun:
             self.ptr = 1
 
     def record(self, j):
-        xa = self.x if self.all_active else self.x[self.active]
+        xa = self.x[self.active]
         self.counts[j] = xa.shape[0]
         if xa.shape[0] == 0:
             return
@@ -368,22 +368,11 @@ class _BlockRun:
         rec_steps = self.run.rec_steps
         n_out = rec_steps.size
         for i in range(take):
-            if win is not None and self.all_active:
+            if win is not None:
                 y = stepper(x, win[i])
-                ok = _survivors(y, threshold)
-                if ok.all():
-                    x[...] = y
-                else:
-                    x[ok] = y[ok]
-                    active[~ok] = False
-                    self.all_active = False
-            elif win is not None:
-                idx = np.nonzero(active)[0]
-                if idx.size:
-                    y = stepper(x[idx], win[i][idx])
-                    ok = _survivors(y, threshold)
-                    x[idx[ok]] = y[ok]
-                    active[idx[~ok]] = False
+                ok = active & _survivors(y, threshold)
+                np.copyto(x, y, where=ok[:, None])
+                active &= ok
             self.step_idx += 1
             if self.ptr < n_out and self.step_idx == rec_steps[self.ptr]:
                 self.record(self.ptr)

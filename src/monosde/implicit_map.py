@@ -66,10 +66,14 @@ def solve_fdelta(problem, y, delta, config=None):
     monotone drifts, so a sign-change bracket always exists).
 
     In one dimension the Newton step is the division g / (1 - delta*U0'(z))
-    and residuals are absolute values; both equal the batched linear solve
-    and the vector norm that larger N uses bit for bit, so the scalar path
-    changes no result. An exactly zero pivot ends Newton there, as a
-    singular solve does for N >= 2.
+    and residuals are absolute values. The division equals the batched
+    linear solve that larger N uses bit for bit; the absolute value equals
+    the vector norm wherever the square neither overflows nor underflows
+    (about 1e-154 < |v| < 1.3e154), so inside that range the scalar path
+    changes no result. Beyond it the norm read inf and a state |y| > 1.3e154
+    got an infinite tolerance and came back unsolved; it now gets a finite
+    tolerance and raises NonConvergence, as |y| = 1e150 already did. An
+    exactly zero pivot ends Newton there, as a singular solve does for N >= 2.
 
     Args:
         problem: SdeProblem supplying drift and drift_jacobian.

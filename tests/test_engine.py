@@ -219,9 +219,10 @@ def _per_path_run(scheme, spec):
 @example(kind="em", x0=4.4, log_margin=math.inf, n_paths=200, threads=2)
 def test_freezing_mid_block_matches_per_path_loop(kind, x0, log_margin,
                                                   n_paths, threads):
-    # a threshold a little above |x0| freezes paths after some all-active
-    # steps and moves the engine onto its gather path; the statistics must
-    # match a loop over single paths
+    # a threshold a little above |x0| freezes paths mid-block; the engine
+    # still steps their rows, so a frozen path that a later step would bring
+    # back into the ball must stay out of every statistic, as in a loop over
+    # single paths
     scheme = m.SchemeConfig(kind, 0.1)
     spec = m.EnsembleSpec(x0, n_paths, 1.5, seed=5, threads=threads,
                           blowup_threshold=abs(x0) + 10.0 ** log_margin)
