@@ -8,19 +8,19 @@ fits, moment audits, an exponential-stability probe, and a numeric checker
 for the structural drift/diffusion conditions.
 """
 
-__version__ = "0.1.1"
+__version__ = "0.1.2"
 
 from .analysis import (AssumptionReport, OrderReport, ProfileReport,
                        ReferenceConfig, SesProbeReport, WeakErrorReport,
-                       check_assumptions, convergence_order,
-                       local_weak_error_profile, ses_probe, weak_error_curve)
+                       check_assumptions, convergence_order, drift_step_audit,
+                       local_weak_error_profile, moment_recursion_audit,
+                       ses_probe, weak_error_curve)
 from .engine import (AllPathsBlewUp, EnsembleResult, EnsembleSpec,
-                     MomentSeries, ObservableSeries, drift_step_audit,
-                     moment_recursion_audit, simulate_ensemble)
+                     MomentSeries, ObservableSeries, simulate_ensemble)
 from .implicit_map import (DeltaTooLarge, ImplicitSolveConfig, NonConvergence,
                            fdelta_derivative_bounds_check, fdelta_gradient,
                            make_modified_fields, solve_fdelta)
-from .noise import BrownianPath, NoisePlan, increments_for
+from .noise import NoisePlan, increments_for
 from .problems import (AssumptionConstants, Observable, SdeProblem,
                        check_derivatives, make_coupled_2d, make_cubic_1d,
                        make_fig1, make_linear_1d, make_observable,
@@ -33,7 +33,7 @@ from .schemes import (KINDS, SchemeConfig, epsilon_delta, make_stepper,
 __all__ = [
     "__version__",
     "AllPathsBlewUp", "AssumptionConstants", "AssumptionReport",
-    "BrownianPath", "DeltaTooLarge", "EnsembleResult", "EnsembleSpec",
+    "DeltaTooLarge", "EnsembleResult", "EnsembleSpec",
     "ImplicitSolveConfig", "KINDS", "MomentSeries", "NoisePlan",
     "NonConvergence", "Observable", "ObservableSeries", "OrderReport",
     "ProfileReport", "ReferenceConfig", "SchemeConfig", "SdeProblem",

@@ -1,5 +1,5 @@
 """Weak-error curves, convergence-order fits, local error profiles,
-exponential-stability probes, and numeric assumption checking.
+exponential-stability probes, moment audits, and numeric assumption checking.
 
 All Monte Carlo work routes through the engine; reductions here are
 single-threaded and deterministic. Reference runs share the fine Brownian
@@ -14,9 +14,10 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import EnsembleSpec, simulate_ensemble
-from .noise import CHUNK_STEPS, NoisePlan, fine_increments_block
-from .schemes import SchemeConfig
+from .engine import EnsembleSpec, _Run, _simulate, simulate_ensemble
+from .noise import NoisePlan, fine_increments_block
+from .problems import Observable
+from .schemes import SchemeConfig, epsilon_delta, make_stepper, select_alpha
 
 
 class NonFiniteEstimate(ArithmeticError):
@@ -419,53 +420,36 @@ def _fit_decay(times, values, stderrs):
     return float(-slope), float(slope_se), n
 
 
-def _tangent_run(problem, x0, plan, gradf, n_rec, k_rec):
-    """Joint (x, J) explicit EM at the plan's fine step; returns the mean
-    vector series of J^T grad f(x_t) with per-component standard errors."""
-    delta = plan.fine_delta
+def _tangent_stepper(problem, delta):
+    """Explicit Euler step of the joint state z = (x, vec J), J the first
+    variation of x: J <- (I + delta grad U0 + ns sum_k grad V_k dB_k) J and
+    the EM step of x, both taken at the old x."""
     n = problem.dim_state
     ns = problem.noise_scale
     eye = np.eye(n)
 
-    def run_block(b):
-        size = plan.block_size(b)
-        x = np.broadcast_to(x0, (size, n)).astype(float).copy()
-        jmat = np.broadcast_to(eye, (size, n, n)).copy()
-        vsum = np.zeros((n_rec + 1, n))
-        vsq = np.zeros((n_rec + 1, n))
+    def step(z, dB):
+        x = z[:, :n]
+        amp = (eye + delta * problem.drift_jacobian(x)
+               + ns * np.einsum("...kij,...k->...ij",
+                                problem.diffusion_jacobians(x), dB))
+        jmat = np.einsum("...ij,...jk->...ik", amp, z[:, n:].reshape(-1, n, n))
+        x = x + delta * problem.drift(x) + problem.noise_term(x, dB)
+        return np.concatenate([x, jmat.reshape(-1, n * n)], axis=1)
 
-        def record(j):
-            v = np.einsum("...mi,...m->...i", jmat, gradf(x))
-            vsum[j] = v.sum(axis=0)
-            vsq[j] = (v * v).sum(axis=0)
+    return step
 
-        record(0)
-        step_idx = 0
-        n_steps = n_rec * k_rec
-        window = CHUNK_STEPS
-        while step_idx < n_steps:
-            take = min(window, n_steps - step_idx)
-            win = fine_increments_block(plan, b, step_idx, take)
-            for i in range(take):
-                dB = win[i]
-                amp = (eye + delta * problem.drift_jacobian(x)
-                       + ns * np.einsum("...kij,...k->...ij",
-                                        problem.diffusion_jacobians(x), dB))
-                jmat = np.einsum("...ij,...jk->...ik", amp, jmat)
-                x = x + delta * problem.drift(x) + problem.noise_term(x, dB)
-                step_idx += 1
-                if step_idx % k_rec == 0:
-                    record(step_idx // k_rec)
-        return vsum, vsq, size
 
-    parts = [run_block(b) for b in range(plan.n_blocks)]
-    vsum = sum((p[0] for p in parts[1:]), parts[0][0].copy())
-    vsq = sum((p[1] for p in parts[1:]), parts[0][1].copy())
-    total = sum(p[2] for p in parts)
-    mean = vsum / total
-    var = np.maximum((vsq - total * mean**2) / max(total - 1, 1), 0.0)
-    se = np.sqrt(var / total)
-    return mean, se
+def _tangent_observables(f, n):
+    """One observable per component i of J^T grad f(x) on joint states."""
+    def component(i):
+        def value(z):
+            x = z[:, :n]
+            return np.einsum("...mi,...m->...i", z[:, n:].reshape(-1, n, n),
+                             f.grad(x))[:, i]
+        return Observable("tangent%d" % i, value, None, None, 0.0)
+
+    return [component(i) for i in range(n)]
 
 
 def ses_probe(problem, f, initial_points, horizon, n_paths, fine_delta,
@@ -478,7 +462,8 @@ def ses_probe(problem, f, initial_points, horizon, n_paths, fine_delta,
     gamma_hat comes from a weighted log-linear fit restricted to times where
     the estimate exceeds 5x its standard error. Second-derivative decay is
     estimated by central differences of the gradient estimate at starts
-    x0 +- bump e_j with common random numbers.
+    x0 +- bump e_j with common random numbers. Every start is one engine run
+    on the joint state, and all of them share one pass over the noise.
 
     Args:
         f: Observable with grad callback.
@@ -492,14 +477,19 @@ def ses_probe(problem, f, initial_points, horizon, n_paths, fine_delta,
         and gamma_hat exceeds max(0.05, 2 gamma_stderr).
 
     Raises:
-        NonFiniteEstimate: when the gradient curve has a non-finite entry,
-            as when the explicit tangent run overflows from a far start.
+        AllPathsBlewUp: when every path of some start blows up, as the
+            explicit tangent run does from a far start.
+        NonFiniteEstimate: when some paths of a start blow up (a mean over
+            the survivors would be biased), or the gradient curve has a
+            non-finite entry.
     """
     n = problem.dim_state
     points = [np.broadcast_to(np.atleast_1d(np.asarray(p, dtype=float)), (n,))
               for p in initial_points]
     if not points:
         raise ValueError("need at least one initial point")
+    if n_paths < 2:
+        raise ValueError("need at least two paths for a standard error")
     k_rec = max(1, round(record_dt / fine_delta))
     if abs(k_rec * fine_delta - record_dt) > 1e-9 * record_dt:
         raise ValueError("record_dt must be a multiple of fine_delta")
@@ -511,9 +501,36 @@ def ses_probe(problem, f, initial_points, horizon, n_paths, fine_delta,
     plan = NoisePlan(seed, n_paths, problem.dim_noise, fine_delta=fine_delta,
                      horizon=horizon)
 
+    starts = list(points)
+    if second_order:
+        for j in range(n):
+            e = np.zeros(n)
+            e[j] = bump
+            starts += [points[0] + e, points[0] - e]
+    scheme = SchemeConfig("em", fine_delta)
+    stepper = _tangent_stepper(problem, fine_delta)
+    observables = _tangent_observables(f, n)
+    rec_steps = np.arange(0, n_fine + 1, k_rec)
+    runs = []
+    for p in starts:
+        z0 = np.concatenate([p, np.eye(n).ravel()])
+        spec = EnsembleSpec(z0, n_paths, horizon, seed=seed, threads=threads,
+                            moment_orders=())
+        runs.append(_Run(scheme, spec, observables, plan, stepper, rec_steps,
+                         z0))
+    curves = []
+    for p, res in zip(starts, _simulate(runs, threads)):
+        if res.n_blowups:
+            raise NonFiniteEstimate(
+                "ses tangent run from x0 = %s: %d of %d paths blew up "
+                "(threshold %g); a mean over the survivors is biased"
+                % (p, res.n_blowups, n_paths, res.blowup_threshold))
+        series = [res.observables[obs.name] for obs in observables]
+        curves.append((np.stack([s.mean for s in series], axis=-1),
+                       np.stack([s.stderr for s in series], axis=-1)))
+
     per_point = []
-    for p in points:
-        mean, se = _tangent_run(problem, p, plan, f.grad, n_rec, k_rec)
+    for p, (mean, se) in zip(points, curves):
         norm = np.linalg.norm(mean, axis=-1)
         nse = np.sqrt(np.sum(se**2, axis=-1))
         per_point.append((p, norm, nse))
@@ -536,16 +553,11 @@ def ses_probe(problem, f, initial_points, horizon, n_paths, fine_delta,
     gamma2 = None
     used2 = 0
     if second_order:
-        base = points[0]
         cols = []
         ses = []
         for j in range(n):
-            e = np.zeros(n)
-            e[j] = 1.0
-            mp, sp = _tangent_run(problem, base + bump * e, plan, f.grad,
-                                  n_rec, k_rec)
-            mm, sm = _tangent_run(problem, base - bump * e, plan, f.grad,
-                                  n_rec, k_rec)
+            k = len(points) + 2 * j
+            (mp, sp), (mm, sm) = curves[k], curves[k + 1]
             cols.append((mp - mm) / (2.0 * bump))
             ses.append(np.sqrt(sp**2 + sm**2) / (2.0 * bump))
         hess = np.stack(cols, axis=-1)          # (n_rec+1, n, n)
@@ -562,6 +574,146 @@ def ses_probe(problem, f, initial_points, horizon, n_paths, fine_delta,
         second_norm=second, second_stderr=second_se,
         gamma2_hat=gamma2, gamma2_points_used=used2,
         n_paths=n_paths, seed=seed)
+
+
+# ---------------------------------------------------------------------------
+# moment audits
+
+
+def drift_step_audit(problem, scheme, radii=None, n_directions=8, seed=0):
+    """Grid check of the drift-only one-step second-moment recursion.
+
+    Verifies |x + D(x)|^2 <= eps * |x|^2 + slack pointwise, where D is the
+    scheme's drift increment (the stepper applied with zero noise), eps is
+    epsilon_delta for the tte scheme and 1 otherwise, and
+    slack = 2*delta*tamed_b1 + 2*delta^2*growth_c1 absorbs the additive
+    constants of the drift bounds. Explicit Euler is expected to fail this
+    beyond |x| ~ sqrt(2/delta) on cubic drifts; the truncated and implicit
+    families should pass on any radius.
+
+    Args:
+        problem: SdeProblem.
+        scheme: SchemeConfig.
+        radii: radii to test (default logspace 1e-2..1e6 plus 0).
+        n_directions: unit directions per radius (2 fixed signs for N=1).
+        seed: direction sampling seed.
+
+    Returns:
+        dict with eps, slack, worst_margin, worst_radius, and "pass".
+    """
+    delta = scheme.delta
+    cst = problem.constants
+    if scheme.kind == "tte":
+        alpha = scheme.alpha
+        if alpha is None:
+            alpha, _ = select_alpha(cst)
+        eps = epsilon_delta(cst, alpha, delta)
+    else:
+        eps = 1.0
+    slack = 2.0 * delta * cst.tamed_b1 + 2.0 * delta**2 * cst.growth_c1 + 1e-12
+
+    if radii is None:
+        radii = np.concatenate([[0.0], np.logspace(-2, 6, 81)])
+    n = problem.dim_state
+    if n == 1:
+        dirs = np.array([[1.0], [-1.0]])
+    else:
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal((n_directions, n))
+        dirs = v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+    stepper = make_stepper(problem, scheme)
+    pts = (np.asarray(radii)[:, None, None] * dirs[None, :, :]).reshape(-1, n)
+    zero = np.zeros((pts.shape[0], problem.dim_noise))
+    y = stepper(pts, zero)
+    lhs = np.sum(y * y, axis=-1)
+    rhs = eps * np.sum(pts * pts, axis=-1) + slack
+    margin = rhs - lhs
+    k = int(np.argmin(margin))
+    return {
+        "eps": float(eps),
+        "slack": float(slack),
+        "worst_margin": float(margin[k]),
+        "worst_radius": float(np.linalg.norm(pts[k])),
+        "pass": bool(margin[k] >= -1e-9),
+    }
+
+
+def moment_recursion_audit(problem, scheme, spec, power=2):
+    """Monte Carlo audit of the time-uniform second-moment recursion.
+
+    Runs the ensemble recording every step, then checks two things: that
+    sup_n E|X_{t_n}|^power stays at or below |x0|^power plus a fitted
+    constant (the fitted C is simply the observed excess, reported for the
+    caller to judge), and that the first step out of x0 contracts the second
+    moment by at most eps_delta plus an allowance
+    (delta * noise_scale^2 * K + 2 delta tamed_b1 + 2 delta^2 growth_c1) / |x0|^2
+    plus three standard errors. The contraction check only applies from
+    |x0| > 1 and is reported as None otherwise. The drift-only grid audit
+    runs as a sub-check.
+
+    Args:
+        problem: SdeProblem with registered constants.
+        scheme: SchemeConfig; must be the tte scheme.
+        spec: EnsembleSpec; record_dt/record_times are ignored (the audit
+            records every step).
+        power: moment order to audit (the theory covers 2).
+
+    Returns:
+        dict with empirical_sup, fitted_C, first_step_ratio,
+        contraction_bound, contraction_ok, n_blowups, eps, drift_grid,
+        and "pass" (contraction and grid both fine, no blow-ups).
+    """
+    if scheme.kind != "tte":
+        raise ValueError("moment audit covers the tte scheme, got %r"
+                         % scheme.kind)
+    cst = problem.constants
+    alpha = scheme.alpha
+    if alpha is None:
+        alpha, _ = select_alpha(cst)
+    delta = scheme.delta
+    eps = epsilon_delta(cst, alpha, delta)
+
+    run_spec = EnsembleSpec(
+        x0=spec.x0, n_paths=spec.n_paths, horizon=spec.horizon,
+        seed=spec.seed, record_dt=None, threads=spec.threads,
+        blowup_threshold=spec.blowup_threshold, moment_orders=(power,))
+    result = simulate_ensemble(problem, scheme, run_spec)
+    series = result.moments[power]
+    x0 = np.atleast_1d(np.asarray(spec.x0, dtype=float))
+    base = float(np.linalg.norm(x0)) ** power
+    empirical_sup = float(np.max(series.value))
+    fitted_c = max(0.0, empirical_sup - base)
+
+    first_ratio = None
+    bound = None
+    contraction_ok = None
+    if power == 2 and np.linalg.norm(x0) > 1.0 and series.value.size > 1:
+        first_ratio = float(series.value[1] / base)
+        allowance = (delta * problem.noise_scale**2 * cst.K
+                     + 2.0 * delta * cst.tamed_b1
+                     + 2.0 * delta**2 * cst.growth_c1) / base
+        se = series.stderr[1]
+        se = 0.0 if not np.isfinite(se) else float(se)
+        bound = eps + allowance + 3.0 * se / base
+        contraction_ok = bool(first_ratio <= bound)
+
+    grid = drift_step_audit(problem, scheme)
+    ok = grid["pass"] and result.n_blowups == 0
+    if contraction_ok is not None:
+        ok = ok and contraction_ok
+    return {
+        "power": power,
+        "eps": float(eps),
+        "empirical_sup": empirical_sup,
+        "fitted_C": fitted_c,
+        "first_step_ratio": first_ratio,
+        "contraction_bound": bound,
+        "contraction_ok": contraction_ok,
+        "n_blowups": int(result.n_blowups),
+        "drift_grid": grid,
+        "pass": bool(ok),
+    }
 
 
 # ---------------------------------------------------------------------------

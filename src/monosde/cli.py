@@ -18,11 +18,10 @@ import numpy as np
 
 from . import __version__
 from .analysis import (ReferenceConfig, _coupled_runs, check_assumptions,
-                       convergence_order, local_weak_error_profile, ses_probe,
-                       weak_error_curve)
+                       convergence_order, local_weak_error_profile,
+                       moment_recursion_audit, ses_probe, weak_error_curve)
 from .config import ConfigError, config_hash, get_value, load_config
-from .engine import (AllPathsBlewUp, EnsembleSpec, moment_recursion_audit,
-                     simulate_ensemble)
+from .engine import AllPathsBlewUp, EnsembleSpec, simulate_ensemble
 from .implicit_map import DeltaTooLarge, NonConvergence
 from .output import standard_meta, write_csv, write_json
 from .problems import make_observable, make_problem, ou_exact_mean

@@ -12,16 +12,18 @@ takes the window's rows at its own width and coarsening factor, and gets the
 result it would get alone.
 
 Each step takes a block's whole state array, frozen rows included, and
-writes a new state back in place only for the paths that are still active
-and survive it. A stepper acts row by row, so an active path gets the bits
-it would get alone; a frozen row is stepped from its last good state and
-the result is dropped.
+writes a new state back in place, one column at a time, only for the paths
+that are still active and survive it. A stepper acts row by row, so an
+active path gets the bits it would get alone; a frozen row is stepped from
+its last good state and the result is dropped.
 
-Blow-up policy: a path whose next state is non-finite or leaves the ball of
-radius blowup_threshold is frozen at its last good state and excluded from
-every later statistic (it still counts in n_paths and in n_blowups). If no
-path survives to the end, AllPathsBlewUp is raised with the partial result
-attached.
+Blow-up policy: a path whose next state has a non-finite norm or leaves the
+ball of radius blowup_threshold is frozen at its last good state and
+excluded from every later statistic (it still counts in n_paths and in
+n_blowups). The norm of N >= 2 components overflows for finite states above
+about 1.3e154, so such a state freezes even under an infinite threshold. If
+no path survives to the end, AllPathsBlewUp is raised with the partial
+result attached.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -32,7 +34,7 @@ import numpy as np
 
 from .implicit_map import _norm
 from .noise import CHUNK_STEPS, NoisePlan, _coarsen, fine_increments_block
-from .schemes import epsilon_delta, make_stepper, select_alpha
+from .schemes import make_stepper
 
 
 class AllPathsBlewUp(RuntimeError):
@@ -201,6 +203,13 @@ def simulate_ensemble(problem, scheme, spec, observables=(), plan=None,
     """
     runs = [_prepare_run(problem, scheme, spec, observables, plan)]
     runs += [_prepare_run(problem, *args) for args in (coupled or ())]
+    results = _simulate(runs, spec.threads)
+    return results[0] if coupled is None else results
+
+
+def _simulate(runs, threads):
+    """One pass of validated runs over their shared fine lattice; returns
+    one EnsembleResult per run, in order."""
     lead = runs[0].plan
     for run in runs[1:]:
         for name in ("master_seed", "fine_delta", "n_fine_steps"):
@@ -215,8 +224,8 @@ def simulate_ensemble(problem, scheme, spec, observables=(), plan=None,
         return _run_block(runs, b)
 
     blocks = range(n_blocks)
-    if spec.threads > 1 and n_blocks > 1:
-        with ThreadPoolExecutor(max_workers=spec.threads) as pool:
+    if threads > 1 and n_blocks > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             partials = list(pool.map(run_block, blocks))
     else:
         partials = [run_block(b) for b in blocks]
@@ -226,7 +235,7 @@ def simulate_ensemble(problem, scheme, spec, observables=(), plan=None,
     for result in results:
         if result.n_active[-1] == 0:
             raise AllPathsBlewUp(result)
-    return results[0] if coupled is None else results
+    return results
 
 
 def _reduce(run, partials):
@@ -273,10 +282,10 @@ def _mean_stderr(s, sq, counts):
 
 
 def _survivors(y, threshold):
-    """Rows of y that are finite and lie in the blow-up ball."""
-    finite = np.all(np.isfinite(y), axis=-1)
+    """Rows of y whose norm is finite and at most threshold."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return finite & (_norm(np.where(finite[..., None], y, 0.0)) <= threshold)
+        r = _norm(y)
+    return np.isfinite(r) & (r <= threshold)
 
 
 def _run_block(runs, b):
@@ -371,7 +380,8 @@ class _BlockRun:
             if win is not None:
                 y = stepper(x, win[i])
                 ok = active & _survivors(y, threshold)
-                np.copyto(x, y, where=ok[:, None])
+                for j in range(x.shape[1]):
+                    np.copyto(x[:, j], y[:, j], where=ok)
                 active &= ok
             self.step_idx += 1
             if self.ptr < n_out and self.step_idx == rec_steps[self.ptr]:
@@ -382,138 +392,3 @@ class _BlockRun:
         return (self.counts, self.obs_sum, self.obs_sq, self.mom_sum,
                 self.mom_sq, int(self.size - self.active.sum()))
 
-
-def drift_step_audit(problem, scheme, radii=None, n_directions=8, seed=0):
-    """Grid check of the drift-only one-step second-moment recursion.
-
-    Verifies |x + D(x)|^2 <= eps * |x|^2 + slack pointwise, where D is the
-    scheme's drift increment (the stepper applied with zero noise), eps is
-    epsilon_delta for the tte scheme and 1 otherwise, and
-    slack = 2*delta*tamed_b1 + 2*delta^2*growth_c1 absorbs the additive
-    constants of the drift bounds. Explicit Euler is expected to fail this
-    beyond |x| ~ sqrt(2/delta) on cubic drifts; the truncated and implicit
-    families should pass on any radius.
-
-    Args:
-        problem: SdeProblem.
-        scheme: SchemeConfig.
-        radii: radii to test (default logspace 1e-2..1e6 plus 0).
-        n_directions: unit directions per radius (2 fixed signs for N=1).
-        seed: direction sampling seed.
-
-    Returns:
-        dict with eps, slack, worst_margin, worst_radius, and "pass".
-    """
-    delta = scheme.delta
-    cst = problem.constants
-    if scheme.kind == "tte":
-        alpha = scheme.alpha
-        if alpha is None:
-            alpha, _ = select_alpha(cst)
-        eps = epsilon_delta(cst, alpha, delta)
-    else:
-        eps = 1.0
-    slack = 2.0 * delta * cst.tamed_b1 + 2.0 * delta**2 * cst.growth_c1 + 1e-12
-
-    if radii is None:
-        radii = np.concatenate([[0.0], np.logspace(-2, 6, 81)])
-    n = problem.dim_state
-    if n == 1:
-        dirs = np.array([[1.0], [-1.0]])
-    else:
-        rng = np.random.default_rng(seed)
-        v = rng.standard_normal((n_directions, n))
-        dirs = v / np.linalg.norm(v, axis=-1, keepdims=True)
-
-    stepper = make_stepper(problem, scheme)
-    pts = (np.asarray(radii)[:, None, None] * dirs[None, :, :]).reshape(-1, n)
-    zero = np.zeros((pts.shape[0], problem.dim_noise))
-    y = stepper(pts, zero)
-    lhs = np.sum(y * y, axis=-1)
-    rhs = eps * np.sum(pts * pts, axis=-1) + slack
-    margin = rhs - lhs
-    k = int(np.argmin(margin))
-    return {
-        "eps": float(eps),
-        "slack": float(slack),
-        "worst_margin": float(margin[k]),
-        "worst_radius": float(np.linalg.norm(pts[k])),
-        "pass": bool(margin[k] >= -1e-9),
-    }
-
-
-def moment_recursion_audit(problem, scheme, spec, power=2):
-    """Monte Carlo audit of the time-uniform second-moment recursion.
-
-    Runs the ensemble recording every step, then checks two things: that
-    sup_n E|X_{t_n}|^power stays at or below |x0|^power plus a fitted
-    constant (the fitted C is simply the observed excess, reported for the
-    caller to judge), and that the first step out of x0 contracts the second
-    moment by at most eps_delta plus an allowance
-    (delta * noise_scale^2 * K + 2 delta tamed_b1 + 2 delta^2 growth_c1) / |x0|^2
-    plus three standard errors. The contraction check only applies from
-    |x0| > 1 and is reported as None otherwise. The drift-only grid audit
-    runs as a sub-check.
-
-    Args:
-        problem: SdeProblem with registered constants.
-        scheme: SchemeConfig; must be the tte scheme.
-        spec: EnsembleSpec; record_dt/record_times are ignored (the audit
-            records every step).
-        power: moment order to audit (the theory covers 2).
-
-    Returns:
-        dict with empirical_sup, fitted_C, first_step_ratio,
-        contraction_bound, contraction_ok, n_blowups, eps, drift_grid,
-        and "pass" (contraction and grid both fine, no blow-ups).
-    """
-    if scheme.kind != "tte":
-        raise ValueError("moment audit covers the tte scheme, got %r"
-                         % scheme.kind)
-    cst = problem.constants
-    alpha = scheme.alpha
-    if alpha is None:
-        alpha, _ = select_alpha(cst)
-    delta = scheme.delta
-    eps = epsilon_delta(cst, alpha, delta)
-
-    run_spec = EnsembleSpec(
-        x0=spec.x0, n_paths=spec.n_paths, horizon=spec.horizon,
-        seed=spec.seed, record_dt=None, threads=spec.threads,
-        blowup_threshold=spec.blowup_threshold, moment_orders=(power,))
-    result = simulate_ensemble(problem, scheme, run_spec)
-    series = result.moments[power]
-    x0 = np.atleast_1d(np.asarray(spec.x0, dtype=float))
-    base = float(np.linalg.norm(x0)) ** power
-    empirical_sup = float(np.max(series.value))
-    fitted_c = max(0.0, empirical_sup - base)
-
-    first_ratio = None
-    bound = None
-    contraction_ok = None
-    if power == 2 and np.linalg.norm(x0) > 1.0 and series.value.size > 1:
-        first_ratio = float(series.value[1] / base)
-        allowance = (delta * problem.noise_scale**2 * cst.K
-                     + 2.0 * delta * cst.tamed_b1
-                     + 2.0 * delta**2 * cst.growth_c1) / base
-        se = series.stderr[1]
-        se = 0.0 if not np.isfinite(se) else float(se)
-        bound = eps + allowance + 3.0 * se / base
-        contraction_ok = bool(first_ratio <= bound)
-
-    grid = drift_step_audit(problem, scheme)
-    ok = grid["pass"] and result.n_blowups == 0
-    if contraction_ok is not None:
-        ok = ok and contraction_ok
-    return {
-        "power": power,
-        "eps": float(eps),
-        "empirical_sup": empirical_sup,
-        "fitted_C": fitted_c,
-        "first_step_ratio": first_ratio,
-        "contraction_bound": bound,
-        "contraction_ok": contraction_ok,
-        "n_blowups": int(result.n_blowups),
-        "drift_grid": grid,
-        "pass": bool(ok),
-    }

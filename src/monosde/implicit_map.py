@@ -44,12 +44,20 @@ class ImplicitSolveConfig:
 
 
 def _norm(v):
-    """Euclidean norm over the last axis. One component is its abs, which
-    equals the 1-D norm bit for bit wherever the square neither overflows
-    nor underflows, and skips the square, the sum and the root."""
+    """Euclidean norm over the last axis.
+
+    One component is its abs, which equals the 1-D norm bit for bit wherever
+    the square neither overflows nor underflows. More components add their
+    squares column by column, in the order np.linalg.norm adds up to seven
+    of them, so up to N = 7 the bits are the same; this avoids numpy's slow
+    reduction over a short trailing axis.
+    """
     if v.shape[-1] == 1:
         return np.abs(v[..., 0])
-    return np.linalg.norm(v, axis=-1)
+    s = v[..., 0] * v[..., 0]
+    for j in range(1, v.shape[-1]):
+        s += v[..., j] * v[..., j]
+    return np.sqrt(s)
 
 
 def _residual(problem, z, y, delta):

@@ -82,14 +82,6 @@ class NoisePlan:
         return min(BLOCK_PATHS, self.n_paths - block_index * BLOCK_PATHS)
 
 
-@dataclass
-class BrownianPath:
-    path_index: int
-    level: str            # "fine" or "coarse"
-    delta: float
-    increments: np.ndarray  # (n_steps, d)
-
-
 def _chunk_normals(master_seed, block, chunk, d, rows=CHUNK_STEPS):
     """Leading rows of one (block, chunk) of standard normals, shape
     (rows, BLOCK_PATHS, d); equal to the first rows of the whole chunk."""
@@ -159,7 +151,7 @@ def increments_for(plan, path_index, level="fine"):
         level: "fine" or "coarse".
 
     Returns:
-        BrownianPath whose increments have shape (n_steps, d).
+        Array (n_steps, d) of the path's increments at that level.
     """
     if level not in ("fine", "coarse"):
         raise ValueError('level must be "fine" or "coarse"')
@@ -171,6 +163,5 @@ def increments_for(plan, path_index, level="fine"):
                                   plan.n_fine_steps)
     fine = block[:, path_index % BLOCK_PATHS, :].copy()
     if level == "fine":
-        return BrownianPath(path_index, "fine", plan.fine_delta, fine)
-    coarse = _coarsen(fine, plan.coarsen_factor)
-    return BrownianPath(path_index, "coarse", plan.coarse_delta, coarse)
+        return fine
+    return _coarsen(fine, plan.coarsen_factor)

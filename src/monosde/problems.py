@@ -127,84 +127,37 @@ class Observable:
 # ---------------------------------------------------------------------------
 # finite-difference fallbacks for user problems without analytic derivatives
 
-def _fd_jacobian(fn):
-    def jac(x):
+def _fd_derivative(fn, out_axes):
+    """Central differences of fn along each state coordinate, stacked on a
+    new last axis; out_axes counts fn's output axes after the batch axes."""
+    def deriv(x):
         x = np.asarray(x, dtype=float)
         n = x.shape[-1]
         h = np.cbrt(np.finfo(float).eps) * np.maximum(
             1.0, np.linalg.norm(x, axis=-1, keepdims=True))
+        h_out = h.reshape(h.shape + (1,) * (out_axes - 1))
         cols = []
         for j in range(n):
             e = np.zeros(n)
             e[j] = 1.0
             step = h * e
-            cols.append((fn(x + step) - fn(x - step)) / (2.0 * h))
+            cols.append((fn(x + step) - fn(x - step)) / (2.0 * h_out))
         return np.stack(cols, axis=-1)
 
-    return jac
+    return deriv
 
 
 def _install_fd_derivatives(problem):
     """Install central-difference Jacobians/Hessians where callbacks are missing."""
     installed = False
-    if problem.drift_jacobian is None:
-        problem.drift_jacobian = _fd_jacobian(problem.drift)
-        installed = True
-    if problem.drift_hessian is None:
-        jac = problem.drift_jacobian
-
-        def hess(x, _jac=jac):
-            x = np.asarray(x, dtype=float)
-            n = x.shape[-1]
-            h = np.cbrt(np.finfo(float).eps) * np.maximum(
-                1.0, np.linalg.norm(x, axis=-1, keepdims=True))
-            parts = []
-            for j in range(n):
-                e = np.zeros(n)
-                e[j] = 1.0
-                step = h * e
-                parts.append((_jac(x + step) - _jac(x - step)) / (2.0 * h))
-            # parts[j][..., m, i] = d_j d_i U0_m  ->  [..., m, i, j]
-            return np.stack(parts, axis=-1)
-
-        problem.drift_hessian = hess
-        installed = True
-    if problem.diffusion_jacobians is None:
-        diff = problem.diffusion
-
-        def djac(x, _diff=diff):
-            x = np.asarray(x, dtype=float)
-            n = x.shape[-1]
-            h = np.cbrt(np.finfo(float).eps) * np.maximum(
-                1.0, np.linalg.norm(x, axis=-1, keepdims=True))
-            cols = []
-            for j in range(n):
-                e = np.zeros(n)
-                e[j] = 1.0
-                step = (h * e)
-                cols.append((_diff(x + step) - _diff(x - step)) / (2.0 * h[..., None]))
-            return np.stack(cols, axis=-1)
-
-        problem.diffusion_jacobians = djac
-        installed = True
-    if problem.diffusion_hessians is None:
-        djac = problem.diffusion_jacobians
-
-        def dhess(x, _djac=djac):
-            x = np.asarray(x, dtype=float)
-            n = x.shape[-1]
-            h = np.cbrt(np.finfo(float).eps) * np.maximum(
-                1.0, np.linalg.norm(x, axis=-1, keepdims=True))
-            parts = []
-            for j in range(n):
-                e = np.zeros(n)
-                e[j] = 1.0
-                step = h * e
-                parts.append((_djac(x + step) - _djac(x - step)) / (2.0 * h[..., None, None]))
-            return np.stack(parts, axis=-1)
-
-        problem.diffusion_hessians = dhess
-        installed = True
+    for name, source, out_axes in (("drift_jacobian", "drift", 1),
+                                   ("drift_hessian", "drift_jacobian", 2),
+                                   ("diffusion_jacobians", "diffusion", 2),
+                                   ("diffusion_hessians", "diffusion_jacobians", 3)):
+        if getattr(problem, name) is None:
+            setattr(problem, name,
+                    _fd_derivative(getattr(problem, source), out_axes))
+            installed = True
     return installed
 
 

@@ -18,9 +18,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
-from .implicit_map import ImplicitSolveConfig, make_modified_fields, solve_fdelta
+from .implicit_map import (ImplicitSolveConfig, _norm, make_modified_fields,
+                           solve_fdelta)
 
 KINDS = ("em", "splitstep", "implicit", "tamed", "tte", "em-modified")
 
@@ -55,14 +54,14 @@ def step_implicit_euler(problem, x, dB, delta, solve_config=None):
 
 def step_tamed_standard(problem, x, dB, delta):
     u0 = problem.drift(x)
-    denom = 1.0 + delta * np.linalg.norm(u0, axis=-1, keepdims=True)
+    denom = 1.0 + delta * _norm(u0)[..., None]
     return x + delta * u0 / denom + problem.noise_term(x, dB)
 
 
 def step_tamed_truncated(problem, x, dB, delta, alpha):
     u0 = problem.drift(x)
     q = problem.constants.q
-    denom = 1.0 + delta * alpha * np.linalg.norm(x, axis=-1, keepdims=True) ** q
+    denom = 1.0 + delta * alpha * _norm(x)[..., None] ** q
     return x + delta * u0 / denom + problem.noise_term(x, dB)
 
 

@@ -4,6 +4,7 @@ import pytest
 
 import monosde as m
 from monosde.analysis import ReferenceConfig, _coupling_checksum
+from monosde.noise import CHUNK_STEPS, fine_increments_block
 
 FIG1 = m.make_fig1()
 OU = m.make_linear_1d()
@@ -95,6 +96,13 @@ def test_ses_probe_ou_matches_closed_form():
     assert rep.grad_norm[0] == 1.0
 
 
+def test_ses_probe_needs_two_paths():
+    # one path has no standard error; the engine would report NaN
+    with pytest.raises(ValueError, match="two paths"):
+        m.ses_probe(OU, IDENTITY, [1.0], horizon=1.0, n_paths=1,
+                    fine_delta=0.01)
+
+
 def test_ses_probe_fig1_decays():
     rep = m.ses_probe(FIG1, ARCTAN, [1.0], horizon=5.0, n_paths=2048,
                       fine_delta=0.01, seed=0, threads=4)
@@ -116,6 +124,108 @@ def test_ses_probe_no_decay_control():
                       fine_delta=0.05, seed=0, second_order=False)
     np.testing.assert_array_equal(rep.grad_norm, 1.0)
     assert not rep.decay_detected
+
+
+def _reference_tangent_run(problem, x0, plan, gradf, n_rec, k_rec):
+    """Joint (x, J) explicit EM at the plan's fine step, one block at a time;
+    returns the mean vector series of J^T grad f(x_t) with per-component
+    standard errors. The reference loop the engine route must reproduce."""
+    delta = plan.fine_delta
+    n = problem.dim_state
+    ns = problem.noise_scale
+    eye = np.eye(n)
+
+    def run_block(b):
+        size = plan.block_size(b)
+        x = np.broadcast_to(x0, (size, n)).astype(float).copy()
+        jmat = np.broadcast_to(eye, (size, n, n)).copy()
+        vsum = np.zeros((n_rec + 1, n))
+        vsq = np.zeros((n_rec + 1, n))
+
+        def record(j):
+            v = np.einsum("...mi,...m->...i", jmat, gradf(x))
+            vsum[j] = v.sum(axis=0)
+            vsq[j] = (v * v).sum(axis=0)
+
+        record(0)
+        step_idx = 0
+        n_steps = n_rec * k_rec
+        while step_idx < n_steps:
+            take = min(CHUNK_STEPS, n_steps - step_idx)
+            win = fine_increments_block(plan, b, step_idx, take)
+            for i in range(take):
+                dB = win[i]
+                amp = (eye + delta * problem.drift_jacobian(x)
+                       + ns * np.einsum("...kij,...k->...ij",
+                                        problem.diffusion_jacobians(x), dB))
+                jmat = np.einsum("...ij,...jk->...ik", amp, jmat)
+                x = x + delta * problem.drift(x) + problem.noise_term(x, dB)
+                step_idx += 1
+                if step_idx % k_rec == 0:
+                    record(step_idx // k_rec)
+        return vsum, vsq, size
+
+    parts = [run_block(b) for b in range(plan.n_blocks)]
+    vsum = sum((p[0] for p in parts[1:]), parts[0][0].copy())
+    vsq = sum((p[1] for p in parts[1:]), parts[0][1].copy())
+    total = sum(p[2] for p in parts)
+    mean = vsum / total
+    var = np.maximum((vsq - total * mean**2) / max(total - 1, 1), 0.0)
+    return mean, np.sqrt(var / total)
+
+
+def _check_ses_against_reference(problem, points, n_paths, threads, check):
+    horizon, fine_delta, record_dt, bump, seed = 1.0, 0.01, 0.25, 0.05, 5
+    rep = m.ses_probe(problem, ARCTAN, points, horizon, n_paths, fine_delta,
+                      seed=seed, record_dt=record_dt, bump=bump,
+                      threads=threads)
+    n = problem.dim_state
+    plan = m.NoisePlan(seed, n_paths, problem.dim_noise,
+                       fine_delta=fine_delta, horizon=horizon)
+
+    def run(x0):
+        return _reference_tangent_run(problem, np.asarray(x0, dtype=float),
+                                      plan, ARCTAN.grad, 4, 25)
+
+    for (_, norm, nse), p in zip(rep.per_point, points):
+        mean, se = run(np.broadcast_to(p, (n,)))
+        check(norm, np.linalg.norm(mean, axis=-1))
+        check(nse, np.sqrt(np.sum(se**2, axis=-1)))
+    cols, ses = [], []
+    base = np.broadcast_to(np.asarray(points[0], dtype=float), (n,))
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = 1.0
+        (mp, sp), (mm, sm) = run(base + bump * e), run(base - bump * e)
+        cols.append((mp - mm) / (2.0 * bump))
+        ses.append(np.sqrt(sp**2 + sm**2) / (2.0 * bump))
+    check(rep.second_norm,
+          np.sqrt(np.sum(np.stack(cols, axis=-1) ** 2, axis=(-2, -1))))
+    check(rep.second_stderr,
+          np.sqrt(np.sum(np.stack(ses, axis=-1) ** 2, axis=(-2, -1))))
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("n_paths", [300, 4200], ids=["1block", "2blocks"])
+@pytest.mark.parametrize("problem, points", [
+    (FIG1, [1.0, -2.0]), (OU, [1.0, 0.5]),
+    (m.make_cubic_1d(1.0, 0.3), [0.5, 2.0])], ids=["fig1", "ou", "cubic1d"])
+def test_ses_probe_equals_reference_tangent_run_bitwise(problem, points,
+                                                        n_paths, threads):
+    _check_ses_against_reference(problem, points, n_paths, threads,
+                                 np.testing.assert_array_equal)
+
+
+def test_ses_probe_matches_reference_tangent_run_on_coupled2d():
+    # the engine sums each observable on its own, pairwise, where the
+    # reference sums a two-column array row by row: only the last bits move.
+    # At t = 0 every path agrees, and a standard error is the root of a
+    # rounding residue, about sqrt(eps) |mean| / sqrt(n_paths) ~ 1e-9
+    def check(actual, desired):
+        np.testing.assert_allclose(actual, desired, rtol=1e-10, atol=1e-8)
+
+    _check_ses_against_reference(m.make_coupled_2d(1.0, 1.0),
+                                 [[1.0, 0.5], [-0.5, 1.0]], 300, 3, check)
 
 
 def test_check_assumptions_cubic_ok():

@@ -1,5 +1,6 @@
 """End-to-end tests for the command line front end."""
 import json
+import re
 
 import numpy as np
 import pytest
@@ -114,17 +115,32 @@ def test_ses_on_ou(tmp_path):
 
 
 def test_ses_nonfinite_curve_exits_nonzero(tmp_path, capsys):
-    # the explicit tangent run overflows from x0 = 100; a NaN curve must not
-    # pass for a result
+    # every explicit tangent path blows up from x0 = 100; a NaN curve must
+    # not pass for a result
     cfg = _write(tmp_path, "ses.cfg",
                  "ses.points = [100.0]\nses.horizon = 5\nses.n_paths = 512\n"
                  "ses.second = false\n")
     out = tmp_path / "o"
     with np.errstate(all="ignore"):
         rc = main(["ses", "--config", cfg, "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "all 512 paths blew up" in err
+    assert not (out / "ses.csv").exists()
+
+
+def test_ses_partial_blowup_exits_nonzero(tmp_path, capsys):
+    # from x0 = 14.1 some tangent paths blow up and some do not; a mean over
+    # the survivors is biased, so no curve is written
+    cfg = _write(tmp_path, "ses.cfg",
+                 "ses.points = [14.1]\nses.horizon = 5\nses.n_paths = 512\n"
+                 "ses.second = false\n")
+    out = tmp_path / "o"
+    rc = main(["ses", "--config", cfg, "--out", str(out), "--seed", "0"])
     assert rc == 4
     err = capsys.readouterr().err
-    assert "non-finite at 20 of 21 record times" in err
+    count = re.search(r"(\d+) of 512 paths blew up", err)
+    assert count and 0 < int(count.group(1)) < 512, err
     assert not (out / "ses.csv").exists()
 
 

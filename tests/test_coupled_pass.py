@@ -116,7 +116,7 @@ def test_runs_step_on_in_order_sums_of_fine_rows(factors, x0):
     for (_, _, _, plan), res in zip(jobs, results):
         x = x0
         path = [x]
-        for dB in m.increments_for(plan, 0, level="coarse").increments[:, 0]:
+        for dB in m.increments_for(plan, 0, level="coarse")[:, 0]:
             x = x + dB
             path.append(x)
         np.testing.assert_array_equal(res.observables["identity"].mean, path)

@@ -189,7 +189,7 @@ def _per_path_run(scheme, spec):
     scale = np.zeros(n_out)
     blowups = 0
     for p in range(spec.n_paths):
-        inc = m.increments_for(plan, p).increments
+        inc = m.increments_for(plan, p)
         x = np.array([[float(spec.x0)]])
         alive = True
         for k in range(n_out):

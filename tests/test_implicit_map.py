@@ -4,7 +4,7 @@ import pytest
 from scipy.optimize import brentq
 
 import monosde as m
-from monosde.implicit_map import ImplicitSolveConfig
+from monosde.implicit_map import ImplicitSolveConfig, _norm
 
 CUBIC = m.make_cubic_1d(1.0, 0.3)
 
@@ -142,3 +142,12 @@ def test_batch_solve_equals_single_solves_bitwise(delta):
     for i in range(y.shape[0]):
         single = m.solve_fdelta(CUBIC, y[i:i + 1], delta)
         assert single.tobytes() == batch[i:i + 1].tobytes(), y[i, 0]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_norm_equals_linalg_norm_bitwise(n):
+    rng = np.random.default_rng(n)
+    for scale in (1e-3, 1.0, 1e6, 1e100):
+        v = scale * rng.standard_normal((1000, n))
+        np.testing.assert_array_equal(_norm(v), np.linalg.norm(v, axis=-1))
+        np.testing.assert_array_equal(_norm(v[0]), np.linalg.norm(v[0], axis=-1))

@@ -7,15 +7,14 @@ import monosde as m
 
 
 def _stack_paths(plan, n, level="fine"):
-    return np.stack([m.increments_for(plan, i, level=level).increments
+    return np.stack([m.increments_for(plan, i, level=level)
                      for i in range(n)])
 
 
 def test_shapes_and_scaling():
     plan = m.NoisePlan(0, 16, 2, fine_delta=0.01, horizon=1.0)
     path = m.increments_for(plan, 0)
-    assert path.increments.shape == (100, 2)
-    assert path.delta == 0.01
+    assert path.shape == (100, 2)
 
 
 def test_increments_are_standard_normal_after_rescaling():
@@ -45,47 +44,47 @@ def test_paths_are_independent():
 
 def test_coarse_level_is_strided_sum_of_fine():
     plan = m.NoisePlan(0, 8, 1, fine_delta=0.01, horizon=0.5, coarsen_factor=5)
-    fine = m.increments_for(plan, 3).increments
+    fine = m.increments_for(plan, 3)
     coarse = m.increments_for(plan, 3, level="coarse")
-    assert coarse.delta == pytest.approx(0.05)
+    assert coarse.shape == (10, 1)
     np.testing.assert_array_equal(
-        fine.reshape(-1, 5, 1).sum(axis=1), coarse.increments)
+        fine.reshape(-1, 5, 1).sum(axis=1), coarse)
 
 
 def test_same_path_regardless_of_ensemble_size():
     """Path increments depend only on (seed, path index), not n_paths."""
     small = m.NoisePlan(9, 8, 1, fine_delta=0.01, horizon=1.0)
     large = m.NoisePlan(9, 5000, 1, fine_delta=0.01, horizon=1.0)
-    np.testing.assert_array_equal(m.increments_for(small, 7).increments,
-                                  m.increments_for(large, 7).increments)
+    np.testing.assert_array_equal(m.increments_for(small, 7),
+                                  m.increments_for(large, 7))
 
 
 def test_same_path_regardless_of_horizon():
     short = m.NoisePlan(9, 8, 1, fine_delta=0.01, horizon=1.0)
     longp = m.NoisePlan(9, 8, 1, fine_delta=0.01, horizon=3.0)
-    a = m.increments_for(short, 2).increments
-    b = m.increments_for(longp, 2).increments
+    a = m.increments_for(short, 2)
+    b = m.increments_for(longp, 2)
     np.testing.assert_array_equal(a, b[: a.shape[0]])
 
 
 def test_fine_level_unaffected_by_coarsen_factor():
     plain = m.NoisePlan(9, 8, 1, fine_delta=0.01, horizon=1.0)
     coarse = m.NoisePlan(9, 8, 1, fine_delta=0.01, horizon=1.0, coarsen_factor=10)
-    np.testing.assert_array_equal(m.increments_for(plain, 4).increments,
-                                  m.increments_for(coarse, 4).increments)
+    np.testing.assert_array_equal(m.increments_for(plain, 4),
+                                  m.increments_for(coarse, 4))
 
 
 def test_deterministic_reconstruction():
     plan1 = m.NoisePlan(123, 16, 2, fine_delta=0.02, horizon=2.0)
     plan2 = m.NoisePlan(123, 16, 2, fine_delta=0.02, horizon=2.0)
-    np.testing.assert_array_equal(m.increments_for(plan1, 11).increments,
-                                  m.increments_for(plan2, 11).increments)
+    np.testing.assert_array_equal(m.increments_for(plan1, 11),
+                                  m.increments_for(plan2, 11))
 
 
 def test_different_seeds_differ():
     a = m.increments_for(m.NoisePlan(0, 4, 1, fine_delta=0.01, horizon=1.0), 0)
     b = m.increments_for(m.NoisePlan(1, 4, 1, fine_delta=0.01, horizon=1.0), 0)
-    assert np.any(a.increments != b.increments)
+    assert np.any(a != b)
 
 
 def test_path_index_out_of_range():
@@ -98,6 +97,6 @@ def test_paths_across_block_boundary_are_deterministic():
     # block size is 4096 paths; indices either side must both reproduce
     plan = m.NoisePlan(0, 5000, 1, fine_delta=0.01, horizon=0.1)
     for idx in (4095, 4096):
-        a = m.increments_for(plan, idx).increments
-        b = m.increments_for(plan, idx).increments
+        a = m.increments_for(plan, idx)
+        b = m.increments_for(plan, idx)
         np.testing.assert_array_equal(a, b)

@@ -1,4 +1,5 @@
 """Tests for problem definitions, registered constants, and observables."""
+import dataclasses
 import math
 
 import numpy as np
@@ -74,6 +75,45 @@ def test_fd_fallback_for_user_problems():
     assert p.fd_derivatives
     x = np.array([0.5])
     np.testing.assert_allclose(p.drift_jacobian(x), [[-0.75]], atol=1e-6)
+
+
+def _without(problem, *callbacks):
+    return dataclasses.replace(problem, fd_derivatives=False,
+                               **{name: None for name in callbacks})
+
+
+DERIVATIVES = ("drift_jacobian", "drift_hessian", "diffusion_jacobians",
+               "diffusion_hessians")
+
+
+@pytest.mark.parametrize("problem", [m.make_cubic_1d(1.0, 0.3),
+                                     m.make_coupled_2d(1.0, 1.0)],
+                         ids=["cubic1d", "coupled2d"])
+def test_fd_only_copy_gets_the_analytic_verdicts(problem):
+    exact = m.check_assumptions(problem)
+    fd = m.check_assumptions(_without(problem, *DERIVATIVES))
+    assert [c.condition for c in fd.conditions] == [c.condition
+                                                   for c in exact.conditions]
+    for a, b in zip(exact.conditions, fd.conditions):
+        assert b.skipped == a.skipped, a.condition
+        # an exactly tight condition (cubic1d 4.10 has margin 0) is within
+        # the FD Jacobian's error of either verdict
+        if abs(a.worst_margin) > 1e-6:
+            assert b.passed == a.passed, a.condition
+            assert b.worst_margin == pytest.approx(a.worst_margin, rel=1e-4,
+                                                   abs=1e-6), a.condition
+
+
+@pytest.mark.parametrize("problem", [m.make_cubic_1d(1.0, 0.3),
+                                     m.make_coupled_2d(1.0, 1.0)],
+                         ids=["cubic1d", "coupled2d"])
+def test_batched_fd_hessian_matches_analytic(problem):
+    x = np.random.default_rng(0).uniform(-3.0, 3.0, (201, problem.dim_state))
+    fd = _without(problem, "drift_hessian")
+    assert fd.fd_derivatives
+    exact = problem.drift_hessian(x)
+    assert fd.drift_hessian(x).shape == exact.shape
+    np.testing.assert_allclose(fd.drift_hessian(x), exact, atol=1e-6)
 
 
 def test_coupled2d_fields():
