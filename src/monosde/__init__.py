@@ -15,8 +15,8 @@ from .analysis import (AssumptionReport, OrderReport, ProfileReport,
                        check_assumptions, convergence_order, drift_step_audit,
                        local_weak_error_profile, moment_recursion_audit,
                        ses_probe, weak_error_curve)
-from .engine import (AllPathsBlewUp, EnsembleResult, EnsembleSpec,
-                     MomentSeries, ObservableSeries, simulate_ensemble)
+from .engine import (AllPathsBlewUp, EnsembleResult, EnsembleSpec, Series,
+                     simulate_ensemble)
 from .implicit_map import (DeltaTooLarge, ImplicitSolveConfig, NonConvergence,
                            fdelta_derivative_bounds_check, fdelta_gradient,
                            make_modified_fields, solve_fdelta)
@@ -26,18 +26,16 @@ from .problems import (AssumptionConstants, Observable, SdeProblem,
                        make_fig1, make_linear_1d, make_observable,
                        make_problem, ou_exact_mean, ou_exact_var)
 from .schemes import (KINDS, SchemeConfig, epsilon_delta, make_stepper,
-                      select_alpha, step_explicit_em, step_implicit_euler,
-                      step_split_step, step_tamed_standard,
-                      step_tamed_truncated)
+                      select_alpha)
 
 __all__ = [
     "__version__",
     "AllPathsBlewUp", "AssumptionConstants", "AssumptionReport",
     "DeltaTooLarge", "EnsembleResult", "EnsembleSpec",
-    "ImplicitSolveConfig", "KINDS", "MomentSeries", "NoisePlan",
-    "NonConvergence", "Observable", "ObservableSeries", "OrderReport",
-    "ProfileReport", "ReferenceConfig", "SchemeConfig", "SdeProblem",
-    "SesProbeReport", "WeakErrorReport",
+    "ImplicitSolveConfig", "KINDS", "NoisePlan", "NonConvergence",
+    "Observable", "OrderReport", "ProfileReport", "ReferenceConfig",
+    "SchemeConfig", "SdeProblem", "Series", "SesProbeReport",
+    "WeakErrorReport",
     "check_assumptions", "check_derivatives", "convergence_order",
     "drift_step_audit", "epsilon_delta", "fdelta_derivative_bounds_check",
     "fdelta_gradient", "increments_for", "local_weak_error_profile",
@@ -45,6 +43,5 @@ __all__ = [
     "make_modified_fields", "make_observable", "make_problem",
     "make_stepper", "moment_recursion_audit", "ou_exact_mean", "ou_exact_var",
     "select_alpha", "ses_probe", "simulate_ensemble", "solve_fdelta",
-    "step_explicit_em", "step_implicit_euler", "step_split_step",
-    "step_tamed_standard", "step_tamed_truncated", "weak_error_curve",
+    "weak_error_curve",
 ]

@@ -655,8 +655,8 @@ def moment_recursion_audit(problem, scheme, spec, power=2):
     Args:
         problem: SdeProblem with registered constants.
         scheme: SchemeConfig; must be the tte scheme.
-        spec: EnsembleSpec; record_dt/record_times are ignored (the audit
-            records every step).
+        spec: EnsembleSpec; its record_dt is ignored (the audit records
+            every step).
         power: moment order to audit (the theory covers 2).
 
     Returns:
@@ -682,14 +682,14 @@ def moment_recursion_audit(problem, scheme, spec, power=2):
     series = result.moments[power]
     x0 = np.atleast_1d(np.asarray(spec.x0, dtype=float))
     base = float(np.linalg.norm(x0)) ** power
-    empirical_sup = float(np.max(series.value))
+    empirical_sup = float(np.max(series.mean))
     fitted_c = max(0.0, empirical_sup - base)
 
     first_ratio = None
     bound = None
     contraction_ok = None
-    if power == 2 and np.linalg.norm(x0) > 1.0 and series.value.size > 1:
-        first_ratio = float(series.value[1] / base)
+    if power == 2 and np.linalg.norm(x0) > 1.0 and series.mean.size > 1:
+        first_ratio = float(series.mean[1] / base)
         allowance = (delta * problem.noise_scale**2 * cst.K
                      + 2.0 * delta * cst.tamed_b1
                      + 2.0 * delta**2 * cst.growth_c1) / base

@@ -87,10 +87,16 @@ def _x0_from_cfg(cfg, default=1.0):
     return x0
 
 
+def _path_count(cfg, key, default):
+    n_paths = get_value(cfg, key, default, int)
+    if n_paths < 2:
+        raise ConfigError("config key %r must be >= 2 (a standard error needs "
+                          "two paths), got %d" % (key, n_paths))
+    return n_paths
+
+
 def _run_ints(cfg):
-    n_paths = get_value(cfg, "run.n_paths", 1000, int)
-    if n_paths < 1:
-        raise ConfigError("config key 'run.n_paths' must be >= 1")
+    n_paths = _path_count(cfg, "run.n_paths", 1000)
     horizon = get_value(cfg, "run.horizon", 10.0, float)
     if not horizon > 0:
         raise ConfigError("config key 'run.horizon' must be positive")
@@ -99,9 +105,8 @@ def _run_ints(cfg):
 
 def _series_columns(result, series):
     blowups = result.n_paths - result.n_active
-    estimate = series.value if hasattr(series, "value") else series.mean
     return [("time", series.times),
-            ("estimate", estimate),
+            ("estimate", series.mean),
             ("stderr", series.stderr),
             ("n_effective", result.n_active),
             ("blowups", blowups)]
@@ -159,12 +164,12 @@ def cmd_fig1(ctx):
     problem = _problem_from_cfg(cfg, default_name="fig1")
     delta = get_value(cfg, "fig1.delta", 0.05, float)
     horizon = get_value(cfg, "fig1.horizon", 5.0, float)
-    n_paths = get_value(cfg, "fig1.n_paths", 1000, int)
+    n_paths = _path_count(cfg, "fig1.n_paths", 1000)
     ref_delta = get_value(cfg, "fig1.ref_delta", 5e-4, float)
-    ref_paths = get_value(cfg, "fig1.ref_paths", 10000, int)
+    ref_paths = _path_count(cfg, "fig1.ref_paths", 10000)
     alphas = [float(a) for a in get_value(cfg, "fig1.alphas", [1.0, 1.3, 5.0])]
     x0s = [float(v) for v in get_value(cfg, "fig1.x0s", [1.0, 100.0])]
-    if min(delta, ref_delta, horizon) <= 0 or min(n_paths, ref_paths) < 1:
+    if min(delta, ref_delta, horizon) <= 0:
         raise ConfigError("fig1.* sizes must be positive")
     m = round(delta / ref_delta)
     if m < 1 or abs(m * ref_delta - delta) > 1e-9 * delta:
@@ -223,7 +228,7 @@ def cmd_weak_error(ctx):
     reference = ReferenceConfig(
         kind=str(get_value(cfg, "reference.kind", "tamed")),
         delta=get_value(cfg, "reference.delta", 5e-4, float),
-        n_paths=get_value(cfg, "reference.n_paths", 10000, int))
+        n_paths=_path_count(cfg, "reference.n_paths", 10000))
     rep = weak_error_curve(problem, scheme, obs, x0, horizon, n_paths,
                            seed=ctx.seed, record_dt=record_dt,
                            reference=reference, threads=ctx.threads)
@@ -275,7 +280,7 @@ def cmd_order(ctx):
     reference = ReferenceConfig(
         kind=str(get_value(cfg, "reference.kind", "tamed")),
         delta=get_value(cfg, "reference.delta", min(deltas) / 8.0, float),
-        n_paths=get_value(cfg, "reference.n_paths", max(n_paths, 10000), int))
+        n_paths=_path_count(cfg, "reference.n_paths", max(n_paths, 10000)))
     rep = convergence_order(problem, kind, deltas, obs, x0, horizon, n_paths,
                             seed=ctx.seed, record_dt=record_dt,
                             reference=None if exact else reference,
@@ -302,7 +307,7 @@ def cmd_local_error(ctx):
     obs = _observable_from_cfg(cfg)
     states = get_value(cfg, "local.states", [0.0, 0.5, 1.0, 2.0, 4.0, 8.0])
     deltas = [float(v) for v in get_value(cfg, "local.deltas", [0.2, 0.1, 0.05])]
-    n_paths = get_value(cfg, "local.n_paths", 4096, int)
+    n_paths = _path_count(cfg, "local.n_paths", 4096)
     inner = get_value(cfg, "local.inner_factor", 100, int)
     if inner < 2:
         raise ConfigError("config key 'local.inner_factor' must be >= 2")
@@ -343,7 +348,7 @@ def cmd_moments(ctx):
         series = result.moments[p]
         write_csv(ctx.out / ("moments_p%s.csv" % _fmt(p)), meta,
                   _series_columns(result, series))
-        payload["sup"]["p%s" % _fmt(p)] = float(np.nanmax(series.value))
+        payload["sup"]["p%s" % _fmt(p)] = float(np.nanmax(series.mean))
     if scheme.kind == "tte":
         payload["audit"] = moment_recursion_audit(problem, scheme, spec)
     write_json(ctx.out / "moments.json", dict(meta), payload)
@@ -357,11 +362,11 @@ def cmd_ses(ctx):
     points = get_value(cfg, "ses.points", [1.0])
     fine_delta = get_value(cfg, "ses.fine_delta", 0.01, float)
     horizon = get_value(cfg, "ses.horizon", 6.0, float)
-    n_paths = get_value(cfg, "ses.n_paths", 4096, int)
+    n_paths = _path_count(cfg, "ses.n_paths", 4096)
     record_dt = get_value(cfg, "ses.record_dt", 0.25, float)
     bump = get_value(cfg, "ses.bump", 0.05, float)
     second = bool(get_value(cfg, "ses.second", True))
-    if min(fine_delta, horizon, record_dt, bump) <= 0 or n_paths < 1:
+    if min(fine_delta, horizon, record_dt, bump) <= 0:
         raise ConfigError("ses.* settings must be positive")
     rep = ses_probe(problem, obs, points, horizon, n_paths, fine_delta,
                     seed=ctx.seed, record_dt=record_dt, second_order=second,

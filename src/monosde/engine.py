@@ -51,10 +51,9 @@ class EnsembleSpec:
     """What to simulate and what to record.
 
     record_dt None means record at every coarse step; otherwise it must be an
-    integer multiple of the scheme step. record_times, when given, overrides
-    record_dt with an explicit sorted list of times in [0, horizon], each
-    within 1e-9 of a multiple of the scheme step. x0 is a scalar or a
-    length-N vector shared by all paths.
+    integer multiple of the scheme step. x0 is a scalar or a length-N vector
+    shared by all paths. Each moment order p is recorded as the mean of the
+    observable |x|^p.
     """
 
     x0: object
@@ -62,23 +61,15 @@ class EnsembleSpec:
     horizon: float
     seed: int = 0
     record_dt: Optional[float] = None
-    record_times: Optional[list] = None
     threads: int = 1
     blowup_threshold: float = 1e12
     moment_orders: tuple = (1, 2, 4)
 
 
 @dataclass
-class MomentSeries:
-    order: float
-    times: np.ndarray
-    value: np.ndarray   # E[|x_t|^order] over surviving paths
-    stderr: np.ndarray
+class Series:
+    """Mean of one recorded quantity over the surviving paths."""
 
-
-@dataclass
-class ObservableSeries:
-    name: str
     times: np.ndarray
     mean: np.ndarray
     stderr: np.ndarray
@@ -94,8 +85,8 @@ class EnsembleResult:
     delta: float
     seed: int
     blowup_threshold: float
-    moments: dict = field(default_factory=dict)       # order -> MomentSeries
-    observables: dict = field(default_factory=dict)   # name -> ObservableSeries
+    moments: dict = field(default_factory=dict)       # order p -> Series of |x|^p
+    observables: dict = field(default_factory=dict)   # name -> Series
 
 
 def _steps_per_record(delta, record_dt):
@@ -105,26 +96,6 @@ def _steps_per_record(delta, record_dt):
     if k < 1 or abs(k * delta - record_dt) > 1e-9 * max(1.0, record_dt):
         raise ValueError("record_dt must be a positive integer multiple of delta")
     return k
-
-
-def _snap_record_steps(record_times, delta, n_coarse):
-    ts = [float(t) for t in record_times]
-    if not ts:
-        raise ValueError("record_times must be nonempty")
-    if ts != sorted(ts):
-        raise ValueError("record_times must be sorted ascending")
-    steps = []
-    for t in ts:
-        k = round(t / delta)
-        if abs(k * delta - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError("record time %g is not a multiple of delta %g"
-                             % (t, delta))
-        if k < 0 or k > n_coarse:
-            raise ValueError("record time %g lies outside [0, horizon]" % t)
-        steps.append(int(k))
-    if len(set(steps)) != len(steps):
-        raise ValueError("record_times contains duplicates")
-    return np.asarray(steps, dtype=np.int64)
 
 
 @dataclass
@@ -149,6 +120,9 @@ def _prepare_run(problem, scheme, spec, observables=(), plan=None):
         if abs(plan.coarse_delta - delta) > 1e-12 * max(1.0, delta):
             raise ValueError("plan.coarse_delta %g != scheme delta %g"
                              % (plan.coarse_delta, delta))
+        if plan.master_seed != spec.seed:
+            raise ValueError("plan.master_seed %d != spec.seed %d"
+                             % (plan.master_seed, spec.seed))
         if plan.n_paths != spec.n_paths:
             raise ValueError("plan.n_paths != spec.n_paths")
         if abs(plan.horizon - spec.horizon) > 1e-9 * max(1.0, spec.horizon):
@@ -161,13 +135,10 @@ def _prepare_run(problem, scheme, spec, observables=(), plan=None):
     if x0.shape != (n,):
         raise ValueError("x0 must be a scalar or length-%d vector" % n)
     n_coarse = plan.n_coarse_steps
-    if spec.record_times is not None:
-        rec_steps = _snap_record_steps(spec.record_times, delta, n_coarse)
-    else:
-        k_rec = _steps_per_record(delta, spec.record_dt)
-        if n_coarse % k_rec != 0:
-            raise ValueError("horizon is not a whole number of record intervals")
-        rec_steps = np.arange(0, n_coarse + 1, k_rec, dtype=np.int64)
+    k_rec = _steps_per_record(delta, spec.record_dt)
+    if n_coarse % k_rec != 0:
+        raise ValueError("horizon is not a whole number of record intervals")
+    rec_steps = np.arange(0, n_coarse + 1, k_rec, dtype=np.int64)
     return _Run(scheme, spec, list(observables), plan,
                 make_stepper(problem, scheme), rec_steps, x0)
 
@@ -241,34 +212,27 @@ def _simulate(runs, threads):
 def _reduce(run, partials):
     """Fixed-order reduction: ascending block index, elementwise adds."""
     n_out = run.rec_steps.size
-    orders = tuple(run.spec.moment_orders)
     counts = np.zeros(n_out, dtype=np.int64)
-    obs_sum = np.zeros((n_out, len(run.observables)))
-    obs_sq = np.zeros_like(obs_sum)
-    mom_sum = np.zeros((n_out, len(orders)))
-    mom_sq = np.zeros_like(mom_sum)
+    sums = np.zeros((n_out, len(run.observables) + len(run.spec.moment_orders)))
+    sqs = np.zeros_like(sums)
     blowups = 0
-    for part in partials:
-        counts += part[0]
-        obs_sum += part[1]
-        obs_sq += part[2]
-        mom_sum += part[3]
-        mom_sq += part[4]
-        blowups += part[5]
+    for part_counts, part_sums, part_sqs, part_blowups in partials:
+        counts += part_counts
+        sums += part_sums
+        sqs += part_sqs
+        blowups += part_blowups
 
     delta = run.scheme.delta
     times = run.rec_steps * delta
-    result = EnsembleResult(
+    series = [Series(times, *_mean_stderr(sums[:, j], sqs[:, j], counts))
+              for j in range(sums.shape[1])]
+    k = len(run.observables)
+    return EnsembleResult(
         times=times, n_paths=run.spec.n_paths, n_active=counts,
         n_blowups=int(blowups), scheme_kind=run.scheme.kind, delta=delta,
-        seed=run.plan.master_seed, blowup_threshold=run.spec.blowup_threshold)
-    for j, p in enumerate(orders):
-        mean, se = _mean_stderr(mom_sum[:, j], mom_sq[:, j], counts)
-        result.moments[p] = MomentSeries(p, times, mean, se)
-    for j, obs in enumerate(run.observables):
-        mean, se = _mean_stderr(obs_sum[:, j], obs_sq[:, j], counts)
-        result.observables[obs.name] = ObservableSeries(obs.name, times, mean, se)
-    return result
+        seed=run.plan.master_seed, blowup_threshold=run.spec.blowup_threshold,
+        moments=dict(zip(run.spec.moment_orders, series[k:])),
+        observables={obs.name: s for obs, s in zip(run.observables, series)})
 
 
 def _mean_stderr(s, sq, counts):
@@ -312,6 +276,9 @@ def _run_block(runs, b):
 class _BlockRun:
     """One run's paths in one block: state, survivors and partial sums.
 
+    The recorded columns are the observables followed by |x|^p for each
+    moment order p; each gets a sum and a sum of squares per record time.
+
     Fine rows arrive in windows that need not hold whole coarse steps; the
     fewer than m rows of an unfinished step carry over to the next window,
     so every coarse increment sums the same m rows in the same order.
@@ -323,16 +290,16 @@ class _BlockRun:
         self.m = run.plan.coarsen_factor
         self.n_coarse = int(run.rec_steps[-1])
         self.fine_end = self.n_coarse * self.m
-        self.orders = tuple(run.spec.moment_orders)
+        self.columns = [obs.eval for obs in run.observables]
+        self.columns += [lambda x, p=p: _norm(x) ** p
+                         for p in run.spec.moment_orders]
         self.x = np.broadcast_to(run.x0, (self.size, run.x0.size)).astype(float).copy()
         self.active = np.ones(self.size, dtype=bool)
 
         n_out = run.rec_steps.size
         self.counts = np.zeros(n_out, dtype=np.int64)
-        self.obs_sum = np.zeros((n_out, len(run.observables)))
-        self.obs_sq = np.zeros_like(self.obs_sum)
-        self.mom_sum = np.zeros((n_out, len(self.orders)))
-        self.mom_sq = np.zeros_like(self.mom_sum)
+        self.sums = np.zeros((n_out, len(self.columns)))
+        self.sqs = np.zeros_like(self.sums)
 
         self.step_idx = 0
         self.ptr = 0
@@ -346,15 +313,10 @@ class _BlockRun:
         self.counts[j] = xa.shape[0]
         if xa.shape[0] == 0:
             return
-        for i, obs in enumerate(self.run.observables):
-            g = obs.eval(xa)
-            self.obs_sum[j, i] = np.sum(g)
-            self.obs_sq[j, i] = np.sum(g * g)
-        nrm = _norm(xa)
-        for i, p in enumerate(self.orders):
-            v = nrm**p
-            self.mom_sum[j, i] = np.sum(v)
-            self.mom_sq[j, i] = np.sum(v * v)
+        for i, column in enumerate(self.columns):
+            g = column(xa)
+            self.sums[j, i] = np.sum(g)
+            self.sqs[j, i] = np.sum(g * g)
 
     def wants_noise(self):
         return self.step_idx < self.n_coarse and bool(self.active.any())
@@ -389,6 +351,6 @@ class _BlockRun:
                 self.ptr += 1
 
     def partial(self):
-        return (self.counts, self.obs_sum, self.obs_sq, self.mom_sum,
-                self.mom_sq, int(self.size - self.active.sum()))
+        return (self.counts, self.sums, self.sqs,
+                int(self.size - self.active.sum()))
 

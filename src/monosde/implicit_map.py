@@ -6,11 +6,10 @@ F^delta(y) solves the fixed-point problem
 
 which is uniquely solvable for monotone drifts (for one-sided Lipschitz
 drifts with constant c0 > 0 only up to delta < 1/(2*c0); the solver refuses
-larger steps unless the check is disabled). The modified drift is
-U0^delta = (F^delta - id)/delta, which coincides with U0 composed with
-F^delta by the fixed-point relation, and the modified diffusion fields are
-V_k composed with F^delta. Explicit Euler applied to the modified fields
-reproduces the split-step scheme path by path.
+larger steps). The modified drift is U0^delta = (F^delta - id)/delta, which
+coincides with U0 composed with F^delta by the fixed-point relation, and the
+modified diffusion fields are V_k composed with F^delta. Explicit Euler
+applied to the modified fields reproduces the split-step scheme path by path.
 """
 
 import dataclasses
@@ -40,7 +39,6 @@ class ImplicitSolveConfig:
     abs_tol: float = 1e-12
     max_newton_iters: int = 50
     max_bisection_iters: int = 200
-    delta_max_check: bool = True
 
 
 def _norm(v):
@@ -102,7 +100,7 @@ def solve_fdelta(problem, y, delta, config=None):
     if delta <= 0:
         raise ValueError("delta must be positive")
     c0 = problem.constants.c0
-    if cfg.delta_max_check and c0 > 0 and delta >= 1.0 / (2.0 * c0):
+    if c0 > 0 and delta >= 1.0 / (2.0 * c0):
         raise DeltaTooLarge(
             "delta=%g exceeds the solvability threshold 1/(2*c0)=%g"
             % (delta, 1.0 / (2.0 * c0)))

@@ -39,32 +39,6 @@ class SchemeConfig:
             raise ValueError("delta must be positive")
 
 
-def step_explicit_em(problem, x, dB, delta):
-    return x + delta * problem.drift(x) + problem.noise_term(x, dB)
-
-
-def step_split_step(problem, x, dB, delta, solve_config=None):
-    z = solve_fdelta(problem, x, delta, solve_config)
-    return z + problem.noise_term(z, dB)
-
-
-def step_implicit_euler(problem, x, dB, delta, solve_config=None):
-    return solve_fdelta(problem, x + problem.noise_term(x, dB), delta, solve_config)
-
-
-def step_tamed_standard(problem, x, dB, delta):
-    u0 = problem.drift(x)
-    denom = 1.0 + delta * _norm(u0)[..., None]
-    return x + delta * u0 / denom + problem.noise_term(x, dB)
-
-
-def step_tamed_truncated(problem, x, dB, delta, alpha):
-    u0 = problem.drift(x)
-    q = problem.constants.q
-    denom = 1.0 + delta * alpha * _norm(x)[..., None] ** q
-    return x + delta * u0 / denom + problem.noise_term(x, dB)
-
-
 def select_alpha(constants):
     """Recommended truncation coefficient for the tte scheme.
 
@@ -112,20 +86,36 @@ def make_stepper(problem, config):
     """
     kind = config.kind
     delta = config.delta
+    solve = config.solve
+    if kind == "em-modified":
+        problem = make_modified_fields(problem, delta, solve)
+        kind = "em"
     if kind == "em":
-        return lambda x, dB: step_explicit_em(problem, x, dB, delta)
-    if kind == "splitstep":
-        return lambda x, dB: step_split_step(problem, x, dB, delta, config.solve)
-    if kind == "implicit":
-        return lambda x, dB: step_implicit_euler(problem, x, dB, delta, config.solve)
-    if kind == "tamed":
-        return lambda x, dB: step_tamed_standard(problem, x, dB, delta)
-    if kind == "tte":
+        def step(x, dB):
+            return x + delta * problem.drift(x) + problem.noise_term(x, dB)
+    elif kind == "splitstep":
+        def step(x, dB):
+            z = solve_fdelta(problem, x, delta, solve)
+            return z + problem.noise_term(z, dB)
+    elif kind == "implicit":
+        def step(x, dB):
+            return solve_fdelta(problem, x + problem.noise_term(x, dB), delta,
+                                solve)
+    elif kind == "tamed":
+        def step(x, dB):
+            u0 = problem.drift(x)
+            denom = 1.0 + delta * _norm(u0)[..., None]
+            return x + delta * u0 / denom + problem.noise_term(x, dB)
+    elif kind == "tte":
         alpha = config.alpha
         if alpha is None:
             alpha, _ = select_alpha(problem.constants)
-        return lambda x, dB: step_tamed_truncated(problem, x, dB, delta, alpha)
-    if kind == "em-modified":
-        mod = make_modified_fields(problem, delta, config.solve)
-        return lambda x, dB: step_explicit_em(mod, x, dB, delta)
-    raise ValueError("unknown scheme kind %r" % kind)
+        q = problem.constants.q
+
+        def step(x, dB):
+            u0 = problem.drift(x)
+            denom = 1.0 + delta * alpha * _norm(x)[..., None] ** q
+            return x + delta * u0 / denom + problem.noise_term(x, dB)
+    else:
+        raise ValueError("unknown scheme kind %r" % kind)
+    return step

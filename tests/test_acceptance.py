@@ -123,7 +123,7 @@ def test_criterion_05_moment_uniformity():
         spec = m.EnsembleSpec(100.0, 1000, 100.0, seed=0, moment_orders=(2,),
                               threads=4)
         res = m.simulate_ensemble(FIG1, m.SchemeConfig(kind, 0.05), spec)
-        sups[kind] = float(np.max(res.moments[2].value))
+        sups[kind] = float(np.max(res.moments[2].mean))
         blowups[kind] = res.n_blowups
     with pytest.raises(m.AllPathsBlewUp) as exc:
         m.simulate_ensemble(FIG1, m.SchemeConfig("em", 0.05),
@@ -143,7 +143,7 @@ def test_criterion_06_stationary_moment():
     spec = m.EnsembleSpec(1.0, 4096, 50.0, seed=0, record_dt=50.0,
                           moment_orders=(2,), threads=4)
     res = m.simulate_ensemble(FIG1, m.SchemeConfig("tte", 0.05, alpha=1.3), spec)
-    est = float(res.moments[2].value[-1])
+    est = float(res.moments[2].mean[-1])
     se = float(res.moments[2].stderr[-1])
     dev = abs(est - target)
     allowance = 3.0 * se + 0.05

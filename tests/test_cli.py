@@ -196,6 +196,33 @@ def test_fig1_file_bundle(tmp_path):
         assert set(block) == {"tamed", "tte_a1", "tte_a1.3", "tte_a5"}
 
 
+_SMALL_RUNS = {
+    "problem.name": "fig1", "run.n_paths": 16, "run.horizon": 0.5,
+    "reference.delta": 0.005, "reference.n_paths": 16,
+    "fig1.n_paths": 16, "fig1.ref_paths": 16, "fig1.ref_delta": 0.005,
+    "fig1.horizon": 0.5, "local.n_paths": 16, "ses.n_paths": 16,
+    "ses.horizon": 0.5, "ses.second": "false",
+}
+
+
+@pytest.mark.parametrize("command,key", [
+    ("simulate", "run.n_paths"), ("moments", "run.n_paths"),
+    ("weak-error", "reference.n_paths"), ("order", "reference.n_paths"),
+    ("fig1", "fig1.n_paths"), ("fig1", "fig1.ref_paths"),
+    ("local-error", "local.n_paths"), ("ses", "ses.n_paths"),
+])
+def test_one_path_is_a_config_error(tmp_path, capsys, command, key):
+    # one path has no standard error; the run must not write a nan curve
+    settings = dict(_SMALL_RUNS, **{key: 1})
+    cfg = _write(tmp_path, "one.cfg",
+                 "".join("%s = %s\n" % kv for kv in settings.items()))
+    out = tmp_path / "o"
+    rc = main([command, "--config", cfg, "--out", str(out)])
+    assert rc == 2
+    assert key in capsys.readouterr().err
+    assert not list(out.iterdir())
+
+
 def test_json_config_accepted(tmp_path):
     p = tmp_path / "run.json"
     p.write_text(json.dumps({"problem": {"name": "ou"},

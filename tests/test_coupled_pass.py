@@ -34,9 +34,9 @@ def test_split_reads_concatenate_to_single_read(data, n, n_paths, d, seed):
     np.testing.assert_array_equal(np.concatenate(pieces), whole)
 
 
-def _spec(x0, n_paths, horizon, threads, threshold=1e12):
-    return m.EnsembleSpec(x0, n_paths, horizon, seed=0, threads=threads,
-                          blowup_threshold=threshold)
+def _spec(plan, x0, horizon, threads, threshold=1e12):
+    return m.EnsembleSpec(x0, plan.n_paths, horizon, seed=plan.master_seed,
+                          threads=threads, blowup_threshold=threshold)
 
 
 def _assert_same(a, b):
@@ -51,7 +51,7 @@ def _assert_same(a, b):
         np.testing.assert_array_equal(a.observables[name].stderr,
                                       b.observables[name].stderr)
     for p in a.moments:
-        np.testing.assert_array_equal(a.moments[p].value, b.moments[p].value)
+        np.testing.assert_array_equal(a.moments[p].mean, b.moments[p].mean)
         np.testing.assert_array_equal(a.moments[p].stderr, b.moments[p].stderr)
 
 
@@ -65,7 +65,7 @@ def _check_coupled_equals_separate(runs, threads):
         scheme = m.SchemeConfig("tte", k * FINE, alpha=1.3)
         plan = m.NoisePlan(3, n_paths, 1, fine_delta=FINE, horizon=horizon,
                            coarsen_factor=k)
-        jobs.append((scheme, _spec(x0, n_paths, horizon, threads, threshold),
+        jobs.append((scheme, _spec(plan, x0, horizon, threads, threshold),
                      [IDENTITY, ARCTAN], plan))
     together = m.simulate_ensemble(FIG1, *jobs[0], coupled=jobs[1:])
     assert len(together) == len(jobs)
@@ -110,7 +110,7 @@ def test_runs_step_on_in_order_sums_of_fine_rows(factors, x0):
     for k in factors:
         plan = m.NoisePlan(8, 1, 1, fine_delta=FINE, horizon=horizon,
                            coarsen_factor=k)
-        jobs.append((m.SchemeConfig("em", k * FINE), _spec(x0, 1, horizon, 1),
+        jobs.append((m.SchemeConfig("em", k * FINE), _spec(plan, x0, horizon, 1),
                      [IDENTITY], plan))
     results = m.simulate_ensemble(_brownian_problem(), *jobs[0], coupled=jobs[1:])
     for (_, _, _, plan), res in zip(jobs, results):
@@ -127,7 +127,8 @@ def test_runs_step_on_in_order_sums_of_fine_rows(factors, x0):
        n_paths=st.integers(1, 50), k=st.sampled_from([1, 2, 4, 5]))
 def test_coupled_run_on_another_lattice_is_rejected(field, n_paths, k):
     lead_plan = m.NoisePlan(1, 16, 1, fine_delta=0.01, horizon=1.0)
-    lead = (m.SchemeConfig("tamed", 0.01), _spec(1.0, 16, 1.0, 1), [], lead_plan)
+    lead = (m.SchemeConfig("tamed", 0.01), _spec(lead_plan, 1.0, 1.0, 1), [],
+            lead_plan)
     seed, fine, horizon = 1, 0.01, 1.0
     if field == "seed":
         seed = 2
@@ -138,6 +139,6 @@ def test_coupled_run_on_another_lattice_is_rejected(field, n_paths, k):
     plan = m.NoisePlan(seed, n_paths, 1, fine_delta=fine, horizon=horizon,
                        coarsen_factor=k)
     other = (m.SchemeConfig("tte", k * fine, alpha=1.3),
-             _spec(1.0, n_paths, horizon, 1), [], plan)
-    with pytest.raises(ValueError):
+             _spec(plan, 1.0, horizon, 1), [], plan)
+    with pytest.raises(ValueError, match="coupled run has plan"):
         m.simulate_ensemble(FIG1, *lead, coupled=[other])

@@ -37,8 +37,8 @@ def test_results_identical_across_thread_counts():
             np.testing.assert_array_equal(other.observables[name].stderr,
                                           base.observables[name].stderr)
         for p in base.moments:
-            np.testing.assert_array_equal(other.moments[p].value,
-                                          base.moments[p].value)
+            np.testing.assert_array_equal(other.moments[p].mean,
+                                          base.moments[p].mean)
 
 
 def test_record_grid_from_record_dt():
@@ -53,25 +53,6 @@ def test_record_every_step_by_default():
     assert len(r.times) == 5
 
 
-def test_explicit_record_times():
-    spec = m.EnsembleSpec(1.0, 16, 10.0, seed=0, record_times=[0.0, 0.5, 10.0])
-    r = m.simulate_ensemble(FIG1, TTE, spec)
-    np.testing.assert_allclose(r.times, [0.0, 0.5, 10.0])
-
-
-@pytest.mark.parametrize("times,msg", [
-    ([0.5, 0.25], "sorted"),
-    ([0.0, 0.26], "multiple"),
-    ([0.0, 11.0], "horizon"),
-    ([], "empty"),
-    ([0.5, 0.5], "duplicate"),
-])
-def test_bad_record_times_rejected(times, msg):
-    spec = m.EnsembleSpec(1.0, 8, 10.0, seed=0, record_times=times)
-    with pytest.raises(ValueError, match=msg):
-        m.simulate_ensemble(FIG1, TTE, spec)
-
-
 def test_bad_record_dt_rejected():
     spec = m.EnsembleSpec(1.0, 8, 1.0, seed=0, record_dt=0.13)
     with pytest.raises(ValueError):
@@ -82,7 +63,7 @@ def test_initial_moment_is_exact():
     spec = m.EnsembleSpec(3.0, 32, 0.5, seed=0, record_dt=0.25,
                           moment_orders=(2,))
     r = m.simulate_ensemble(FIG1, TTE, spec)
-    assert r.moments[2].value[0] == 9.0
+    assert r.moments[2].mean[0] == 9.0
     assert r.moments[2].stderr[0] == 0.0
 
 
@@ -91,7 +72,7 @@ def test_moments_use_euclidean_norm():
     spec = m.EnsembleSpec(np.array([0.3, -0.7]), 16, 0.1, seed=0,
                           record_dt=0.1, moment_orders=(2,))
     r = m.simulate_ensemble(p, m.SchemeConfig("em", 0.01), spec)
-    np.testing.assert_allclose(r.moments[2].value[0], 0.58)
+    np.testing.assert_allclose(r.moments[2].mean[0], 0.58)
 
 
 def test_stderr_scales_like_sqrt_n():
@@ -130,7 +111,7 @@ def test_zero_dynamics_series_constant():
                             [m.make_observable("identity")])
     np.testing.assert_array_equal(r.observables["identity"].mean, 2.0)
     np.testing.assert_array_equal(r.observables["identity"].stderr, 0.0)
-    np.testing.assert_array_equal(r.moments[2].value, 4.0)
+    np.testing.assert_array_equal(r.moments[2].mean, 4.0)
 
 
 def test_shared_noise_plan_gives_common_random_numbers():
@@ -142,6 +123,13 @@ def test_shared_noise_plan_gives_common_random_numbers():
                             plan=plan)
     np.testing.assert_array_equal(a.observables["identity"].mean,
                                   b.observables["identity"].mean)
+
+
+def test_plan_seed_must_match_spec_seed():
+    plan = m.NoisePlan(7, 64, 1, fine_delta=0.05, horizon=1.0)
+    spec = m.EnsembleSpec(1.0, 64, 1.0, seed=5, record_dt=0.25)
+    with pytest.raises(ValueError, match="seed"):
+        m.simulate_ensemble(FIG1, TTE, spec, plan=plan)
 
 
 def test_drift_step_audit_separates_schemes():

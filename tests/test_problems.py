@@ -63,6 +63,17 @@ def test_analytic_derivatives_match_finite_differences(problem):
     assert report["pass"], report
 
 
+def test_check_derivatives_catches_a_wrong_jacobian():
+    # drop the -a term from d/dx (-x^3 - a x)
+    good = m.make_cubic_1d(1.0, 0.3)
+    bad = dataclasses.replace(good,
+                              drift_jacobian=lambda x: (-3.0 * x**2)[..., None])
+    report = m.check_derivatives(bad, samples=60, seed=3)
+    assert not report["pass"]
+    assert report["drift_jacobian"] > 1e-5
+    assert report["drift_hessian"] <= 1e-5
+
+
 def test_fd_fallback_for_user_problems():
     # a problem registered without derivative callbacks gets FD fallbacks
     c = m.AssumptionConstants(b0=1.0, b1=1.0, c0=0.0, c1=0.0, c2=9.0, q=2.0,
