@@ -9,13 +9,13 @@ reference and its coarse runs through one engine pass over that lattice.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
-from .engine import EnsembleSpec, _Run, _simulate, simulate_ensemble
-from .noise import NoisePlan, fine_increments_block
+from .engine import EnsembleSpec, _prepare_run, _simulate, simulate_ensemble
+from .noise import NoisePlan, _whole_multiple, fine_increments_block
 from .problems import Observable
 from .schemes import SchemeConfig, epsilon_delta, make_stepper, select_alpha
 
@@ -105,7 +105,6 @@ class SesProbeReport:
     second_norm: Optional[np.ndarray]
     second_stderr: Optional[np.ndarray]
     gamma2_hat: Optional[float]
-    gamma2_points_used: int
     n_paths: int
     seed: int
 
@@ -166,6 +165,15 @@ def _coupling_checksum(plan):
     return float(np.sum(fine_increments_block(plan, 0, 0, take)[:, 0, :]))
 
 
+def _compare(curve, ref):
+    """|curve mean - reference mean| and its combined standard error, for two
+    Series on one record grid."""
+    err = np.abs(curve.mean - ref.mean)
+    se = np.sqrt(np.nan_to_num(curve.stderr) ** 2
+                 + np.nan_to_num(ref.stderr) ** 2)
+    return err, se
+
+
 def _coupled_runs(problem, reference, observable, horizon, seed, threads,
                   curves):
     """Run coarse curves and their fine references in one pass over the noise.
@@ -189,8 +197,8 @@ def _coupled_runs(problem, reference, observable, horizon, seed, threads,
     ref_index = {}
     pairs = []
     for scheme, x0, n_paths, rec in curves:
-        m = round(scheme.delta / reference.delta)
-        if m < 1 or abs(m * reference.delta - scheme.delta) > 1e-9 * scheme.delta:
+        m = _whole_multiple(scheme.delta, reference.delta)
+        if m is None:
             raise ValueError("reference delta %g does not divide scheme delta %g"
                              % (reference.delta, scheme.delta))
         plan_c = NoisePlan(seed, n_paths, d, fine_delta=reference.delta,
@@ -217,9 +225,8 @@ def _weak_error_report(scheme, observable, horizon, seed, coupled):
     if sc.times.shape != sr.times.shape or not np.allclose(sc.times, sr.times):
         raise ValueError("record grids of scheme and reference disagree")
     times = sc.times
-    err = np.abs(sc.mean - sr.mean)
-    halfwidth = 1.96 * np.sqrt(np.nan_to_num(sc.stderr) ** 2
-                               + np.nan_to_num(sr.stderr) ** 2)
+    err, se = _compare(sc, sr)
+    halfwidth = 1.96 * se
     max_hw = float(np.max(halfwidth))
     half = horizon / 2.0
     early = float(np.max(err[times <= half]))
@@ -302,10 +309,8 @@ def convergence_order(problem, kind, deltas, observable, x0, horizon, n_paths,
     for delta in deltas:
         scheme = SchemeConfig(kind, float(delta), alpha=alpha)
         rd = record_dt
-        if rd is not None:
-            k = round(rd / delta)
-            if k < 1 or abs(k * delta - rd) > 1e-9 * max(1.0, rd):
-                rd = None
+        if rd is not None and _whole_multiple(rd, delta) is None:
+            rd = None
         curves.append((scheme, rd))
 
     errors = []
@@ -323,9 +328,10 @@ def convergence_order(problem, kind, deltas, observable, x0, horizon, n_paths,
             problem, ref, observable, horizon, seed, threads,
             [(scheme, x0, n_paths, rd if rd is not None else scheme.delta)
              for scheme, rd in curves])
-        for (scheme, _), pair in zip(curves, coupled):
-            rep = _weak_error_report(scheme, observable, horizon, seed, pair)
-            errors.append((rep.err, rep.halfwidth))
+        for res_c, res_r, _, _ in coupled:
+            err, se = _compare(res_c.observables[observable.name],
+                               res_r.observables[observable.name])
+            errors.append((err, 1.96 * se))
 
     sup_errors = np.zeros(deltas.size)
     halfwidths = np.zeros(deltas.size)
@@ -368,13 +374,11 @@ def local_weak_error_profile(problem, scheme, states, deltas, observable,
         coupled = _coupled_runs(problem, ref, observable, delta, seed, threads,
                                 [(one, x, n_paths, delta) for x in states])
         for i, (res_c, res_r, _, _) in enumerate(coupled):
-            gc = res_c.observables[observable.name]
-            gr = res_r.observables[observable.name]
-            err = float(abs(gc.mean[-1] - gr.mean[-1]))
-            hw = 1.96 * math.sqrt(np.nan_to_num(gc.stderr[-1]) ** 2
-                                  + np.nan_to_num(gr.stderr[-1]) ** 2)
-            cells[i, j] = ProfileRow(x=states[i], delta=delta, err=err,
-                                     halfwidth=hw)
+            err, se = _compare(res_c.observables[observable.name],
+                               res_r.observables[observable.name])
+            cells[i, j] = ProfileRow(x=states[i], delta=delta,
+                                     err=float(err[-1]),
+                                     halfwidth=float(1.96 * se[-1]))
     rows = [cells[i, j] for i in range(len(states)) for j in range(len(deltas))]
 
     growth = None
@@ -490,16 +494,6 @@ def ses_probe(problem, f, initial_points, horizon, n_paths, fine_delta,
         raise ValueError("need at least one initial point")
     if n_paths < 2:
         raise ValueError("need at least two paths for a standard error")
-    k_rec = max(1, round(record_dt / fine_delta))
-    if abs(k_rec * fine_delta - record_dt) > 1e-9 * record_dt:
-        raise ValueError("record_dt must be a multiple of fine_delta")
-    n_fine = round(horizon / fine_delta)
-    if n_fine % k_rec != 0:
-        raise ValueError("horizon is not a whole number of record intervals")
-    n_rec = n_fine // k_rec
-    times = np.arange(n_rec + 1) * (k_rec * fine_delta)
-    plan = NoisePlan(seed, n_paths, problem.dim_noise, fine_delta=fine_delta,
-                     horizon=horizon)
 
     starts = list(points)
     if second_order:
@@ -510,16 +504,18 @@ def ses_probe(problem, f, initial_points, horizon, n_paths, fine_delta,
     scheme = SchemeConfig("em", fine_delta)
     stepper = _tangent_stepper(problem, fine_delta)
     observables = _tangent_observables(f, n)
-    rec_steps = np.arange(0, n_fine + 1, k_rec)
     runs = []
     for p in starts:
-        z0 = np.concatenate([p, np.eye(n).ravel()])
-        spec = EnsembleSpec(z0, n_paths, horizon, seed=seed, threads=threads,
+        spec = EnsembleSpec(p, n_paths, horizon, seed=seed,
+                            record_dt=record_dt, threads=threads,
                             moment_orders=())
-        runs.append(_Run(scheme, spec, observables, plan, stepper, rec_steps,
-                         z0))
+        run = _prepare_run(problem, scheme, spec, observables)
+        runs.append(replace(run, stepper=stepper,
+                            x0=np.concatenate([p, np.eye(n).ravel()])))
+    results = _simulate(runs, threads)
+    times = results[0].times
     curves = []
-    for p, res in zip(starts, _simulate(runs, threads)):
+    for p, res in zip(starts, results):
         if res.n_blowups:
             raise NonFiniteEstimate(
                 "ses tangent run from x0 = %s: %d of %d paths blew up "
@@ -551,7 +547,6 @@ def ses_probe(problem, f, initial_points, horizon, n_paths, fine_delta,
 
     second = second_se = None
     gamma2 = None
-    used2 = 0
     if second_order:
         cols = []
         ses = []
@@ -564,7 +559,7 @@ def ses_probe(problem, f, initial_points, horizon, n_paths, fine_delta,
         hess_se = np.stack(ses, axis=-1)
         second = np.sqrt(np.sum(hess**2, axis=(-2, -1)))
         second_se = np.sqrt(np.sum(hess_se**2, axis=(-2, -1)))
-        gamma2, _, used2 = _fit_decay(times, second, second_se)
+        gamma2, _, _ = _fit_decay(times, second, second_se)
 
     return SesProbeReport(
         fine_delta=fine_delta, horizon=horizon, times=times,
@@ -572,7 +567,7 @@ def ses_probe(problem, f, initial_points, horizon, n_paths, fine_delta,
         gamma_hat=gamma, gamma_stderr=gamma_se, points_used=used,
         decay_detected=bool(detected), per_point=per_point,
         second_norm=second, second_stderr=second_se,
-        gamma2_hat=gamma2, gamma2_points_used=used2,
+        gamma2_hat=gamma2,
         n_paths=n_paths, seed=seed)
 
 
@@ -639,10 +634,11 @@ def drift_step_audit(problem, scheme, radii=None, n_directions=8, seed=0):
     }
 
 
-def moment_recursion_audit(problem, scheme, spec, power=2):
+def moment_recursion_audit(problem, scheme, result, x0, power=2):
     """Monte Carlo audit of the time-uniform second-moment recursion.
 
-    Runs the ensemble recording every step, then checks two things: that
+    Reads a result that recorded |X|^power at every step (ValueError if
+    not, or for another scheme kind) and checks two things: that
     sup_n E|X_{t_n}|^power stays at or below |x0|^power plus a fitted
     constant (the fitted C is simply the observed excess, reported for the
     caller to judge), and that the first step out of x0 contracts the second
@@ -655,8 +651,8 @@ def moment_recursion_audit(problem, scheme, spec, power=2):
     Args:
         problem: SdeProblem with registered constants.
         scheme: SchemeConfig; must be the tte scheme.
-        spec: EnsembleSpec; its record_dt is ignored (the audit records
-            every step).
+        result: EnsembleResult of that scheme, recorded at every step.
+        x0: its initial state.
         power: moment order to audit (the theory covers 2).
 
     Returns:
@@ -667,6 +663,10 @@ def moment_recursion_audit(problem, scheme, spec, power=2):
     if scheme.kind != "tte":
         raise ValueError("moment audit covers the tte scheme, got %r"
                          % scheme.kind)
+    if (power not in result.moments or result.times.size - 1
+            != _whole_multiple(result.times[-1], result.delta)):
+        raise ValueError("moment audit needs |X|^%s recorded at every step"
+                         % power)
     cst = problem.constants
     alpha = scheme.alpha
     if alpha is None:
@@ -674,13 +674,8 @@ def moment_recursion_audit(problem, scheme, spec, power=2):
     delta = scheme.delta
     eps = epsilon_delta(cst, alpha, delta)
 
-    run_spec = EnsembleSpec(
-        x0=spec.x0, n_paths=spec.n_paths, horizon=spec.horizon,
-        seed=spec.seed, record_dt=None, threads=spec.threads,
-        blowup_threshold=spec.blowup_threshold, moment_orders=(power,))
-    result = simulate_ensemble(problem, scheme, run_spec)
     series = result.moments[power]
-    x0 = np.atleast_1d(np.asarray(spec.x0, dtype=float))
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     base = float(np.linalg.norm(x0)) ** power
     empirical_sup = float(np.max(series.mean))
     fitted_c = max(0.0, empirical_sup - base)

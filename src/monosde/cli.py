@@ -12,20 +12,23 @@ master seed; rerunning the same config reproduces byte-identical files.
 import argparse
 import pathlib
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import __version__
-from .analysis import (ReferenceConfig, _coupled_runs, check_assumptions,
-                       convergence_order, local_weak_error_profile,
-                       moment_recursion_audit, ses_probe, weak_error_curve)
-from .config import ConfigError, config_hash, get_value, load_config
+from .analysis import (ReferenceConfig, _compare, _coupled_runs,
+                       check_assumptions, convergence_order,
+                       local_weak_error_profile, moment_recursion_audit,
+                       ses_probe, weak_error_curve)
+from .config import (ConfigError, config_hash, get_value, load_config,
+                     require_positive)
 from .engine import AllPathsBlewUp, EnsembleSpec, simulate_ensemble
 from .implicit_map import DeltaTooLarge, NonConvergence
+from .noise import _whole_multiple
 from .output import standard_meta, write_csv, write_json
 from .problems import make_observable, make_problem, ou_exact_mean
-from .schemes import SchemeConfig
+from .schemes import KINDS, SchemeConfig
 
 
 @dataclass
@@ -54,21 +57,32 @@ def _problem_from_cfg(cfg, default_name="fig1"):
         raise ConfigError("problem configuration: %s" % exc)
 
 
+def _positive(cfg, key, default):
+    return require_positive(cfg, key, get_value(cfg, key, default, float))
+
+
+def _kind(cfg, key, default):
+    kind = str(get_value(cfg, key, default))
+    if kind not in KINDS:
+        raise ConfigError("config key %r: unknown scheme kind %r (known: %s)"
+                          % (key, kind, ", ".join(KINDS)))
+    return kind
+
+
 def _scheme_from_cfg(cfg, default_kind="tte", default_delta=0.05):
-    kind = str(get_value(cfg, "scheme.kind", default_kind))
-    delta = get_value(cfg, "scheme.delta", default_delta, float)
-    if not delta > 0:
-        raise ConfigError("config key 'scheme.delta' must be positive, got %r"
-                          % delta)
-    alpha = get_value(cfg, "scheme.alpha", None)
+    alpha = get_value(cfg, "scheme.alpha", None, float)
     if alpha is not None:
-        alpha = float(alpha)
-        if not alpha > 0:
-            raise ConfigError("config key 'scheme.alpha' must be positive")
-    try:
-        return SchemeConfig(kind, delta, alpha=alpha)
-    except ValueError as exc:
-        raise ConfigError("scheme configuration: %s" % exc)
+        require_positive(cfg, "scheme.alpha", alpha)
+    return SchemeConfig(_kind(cfg, "scheme.kind", default_kind),
+                        _positive(cfg, "scheme.delta", default_delta),
+                        alpha=alpha)
+
+
+def _reference_from_cfg(cfg, default_delta, default_paths):
+    return ReferenceConfig(
+        kind=_kind(cfg, "reference.kind", "tamed"),
+        delta=_positive(cfg, "reference.delta", default_delta),
+        n_paths=_path_count(cfg, "reference.n_paths", default_paths))
 
 
 def _observable_from_cfg(cfg, default="identity"):
@@ -96,11 +110,8 @@ def _path_count(cfg, key, default):
 
 
 def _run_ints(cfg):
-    n_paths = _path_count(cfg, "run.n_paths", 1000)
-    horizon = get_value(cfg, "run.horizon", 10.0, float)
-    if not horizon > 0:
-        raise ConfigError("config key 'run.horizon' must be positive")
-    return n_paths, horizon
+    return (_path_count(cfg, "run.n_paths", 1000),
+            _positive(cfg, "run.horizon", 10.0))
 
 
 def _series_columns(result, series):
@@ -162,17 +173,14 @@ def cmd_simulate(ctx):
 def cmd_fig1(ctx):
     cfg = ctx.cfg
     problem = _problem_from_cfg(cfg, default_name="fig1")
-    delta = get_value(cfg, "fig1.delta", 0.05, float)
-    horizon = get_value(cfg, "fig1.horizon", 5.0, float)
+    delta = _positive(cfg, "fig1.delta", 0.05)
+    horizon = _positive(cfg, "fig1.horizon", 5.0)
     n_paths = _path_count(cfg, "fig1.n_paths", 1000)
-    ref_delta = get_value(cfg, "fig1.ref_delta", 5e-4, float)
+    ref_delta = _positive(cfg, "fig1.ref_delta", 5e-4)
     ref_paths = _path_count(cfg, "fig1.ref_paths", 10000)
     alphas = [float(a) for a in get_value(cfg, "fig1.alphas", [1.0, 1.3, 5.0])]
     x0s = [float(v) for v in get_value(cfg, "fig1.x0s", [1.0, 100.0])]
-    if min(delta, ref_delta, horizon) <= 0:
-        raise ConfigError("fig1.* sizes must be positive")
-    m = round(delta / ref_delta)
-    if m < 1 or abs(m * ref_delta - delta) > 1e-9 * delta:
+    if _whole_multiple(delta, ref_delta) is None:
         raise ConfigError("fig1.ref_delta must divide fig1.delta")
 
     obs = make_observable("identity")
@@ -199,9 +207,7 @@ def cmd_fig1(ctx):
             write_csv(ctx.out / ("fig1_x0-%s_%s.csv" % (_fmt(x0), label)),
                       _run_meta(ctx, problem, scheme, x0),
                       _series_columns(res, ser))
-            dev = np.abs(ser.mean - rser.mean)
-            comb = np.sqrt(np.nan_to_num(ser.stderr) ** 2
-                           + np.nan_to_num(rser.stderr) ** 2)
+            dev, comb = _compare(ser, rser)
             summary[key][label] = {
                 "sup_deviation": float(np.max(dev)),
                 "within_3se": bool(np.all(dev <= 3.0 * comb)),
@@ -225,10 +231,7 @@ def cmd_weak_error(ctx):
     x0 = _x0_from_cfg(cfg)
     n_paths, horizon = _run_ints(cfg)
     record_dt = get_value(cfg, "run.record_dt", 0.25, float)
-    reference = ReferenceConfig(
-        kind=str(get_value(cfg, "reference.kind", "tamed")),
-        delta=get_value(cfg, "reference.delta", 5e-4, float),
-        n_paths=_path_count(cfg, "reference.n_paths", 10000))
+    reference = _reference_from_cfg(cfg, 5e-4, 10000)
     rep = weak_error_curve(problem, scheme, obs, x0, horizon, n_paths,
                            seed=ctx.seed, record_dt=record_dt,
                            reference=reference, threads=ctx.threads)
@@ -252,9 +255,7 @@ def cmd_weak_error(ctx):
 def cmd_order(ctx):
     cfg = ctx.cfg
     problem = _problem_from_cfg(cfg)
-    kind = str(get_value(cfg, "scheme.kind", "tte"))
-    alpha = get_value(cfg, "scheme.alpha", None)
-    alpha = None if alpha is None else float(alpha)
+    scheme = _scheme_from_cfg(cfg)
     deltas = [float(v) for v in get_value(cfg, "order.deltas",
                                           [0.2, 0.1, 0.05, 0.025])]
     if len(deltas) < 3:
@@ -277,15 +278,14 @@ def cmd_order(ctx):
         def exact(times, _r=rate, _x=x_start):
             return ou_exact_mean(_x, np.asarray(times), _r)
 
-    reference = ReferenceConfig(
-        kind=str(get_value(cfg, "reference.kind", "tamed")),
-        delta=get_value(cfg, "reference.delta", min(deltas) / 8.0, float),
-        n_paths=_path_count(cfg, "reference.n_paths", max(n_paths, 10000)))
-    rep = convergence_order(problem, kind, deltas, obs, x0, horizon, n_paths,
-                            seed=ctx.seed, record_dt=record_dt,
+    reference = _reference_from_cfg(cfg, min(deltas) / 8.0,
+                                    max(n_paths, 10000))
+    rep = convergence_order(problem, scheme.kind, deltas, obs, x0, horizon,
+                            n_paths, seed=ctx.seed, record_dt=record_dt,
                             reference=None if exact else reference,
-                            exact_mean=exact, alpha=alpha, threads=ctx.threads)
-    meta = ctx.meta([("problem", problem.name), ("scheme", kind)])
+                            exact_mean=exact, alpha=scheme.alpha,
+                            threads=ctx.threads)
+    meta = ctx.meta([("problem", problem.name), ("scheme", scheme.kind)])
     write_csv(ctx.out / "order.csv", meta, [
         ("delta", rep.deltas), ("sup_error", rep.sup_errors),
         ("halfwidth", rep.halfwidths)])
@@ -350,7 +350,10 @@ def cmd_moments(ctx):
                   _series_columns(result, series))
         payload["sup"]["p%s" % _fmt(p)] = float(np.nanmax(series.mean))
     if scheme.kind == "tte":
-        payload["audit"] = moment_recursion_audit(problem, scheme, spec)
+        if record_dt is not None or 2 not in orders:  # audit reads every step
+            result = simulate_ensemble(problem, scheme, replace(
+                spec, record_dt=None, moment_orders=(2,)))
+        payload["audit"] = moment_recursion_audit(problem, scheme, result, x0)
     write_json(ctx.out / "moments.json", dict(meta), payload)
     return 0
 
@@ -360,14 +363,12 @@ def cmd_ses(ctx):
     problem = _problem_from_cfg(cfg)
     obs = _observable_from_cfg(cfg)
     points = get_value(cfg, "ses.points", [1.0])
-    fine_delta = get_value(cfg, "ses.fine_delta", 0.01, float)
-    horizon = get_value(cfg, "ses.horizon", 6.0, float)
+    fine_delta = _positive(cfg, "ses.fine_delta", 0.01)
+    horizon = _positive(cfg, "ses.horizon", 6.0)
     n_paths = _path_count(cfg, "ses.n_paths", 4096)
-    record_dt = get_value(cfg, "ses.record_dt", 0.25, float)
-    bump = get_value(cfg, "ses.bump", 0.05, float)
+    record_dt = _positive(cfg, "ses.record_dt", 0.25)
+    bump = _positive(cfg, "ses.bump", 0.05)
     second = bool(get_value(cfg, "ses.second", True))
-    if min(fine_delta, horizon, record_dt, bump) <= 0:
-        raise ConfigError("ses.* settings must be positive")
     rep = ses_probe(problem, obs, points, horizon, n_paths, fine_delta,
                     seed=ctx.seed, record_dt=record_dt, second_order=second,
                     bump=bump, threads=ctx.threads)
@@ -394,10 +395,8 @@ def cmd_ses(ctx):
 def cmd_check(ctx):
     cfg = ctx.cfg
     problem = _problem_from_cfg(cfg)
-    radius = get_value(cfg, "check.radius", 10.0, float)
+    radius = _positive(cfg, "check.radius", 10.0)
     samples = get_value(cfg, "check.samples", 400, int)
-    if radius <= 0:
-        raise ConfigError("config key 'check.radius' must be positive")
     if samples < 100:
         raise ConfigError("config key 'check.samples' must be >= 100")
     rep = check_assumptions(problem, radius=radius, samples=samples,

@@ -33,7 +33,8 @@ from typing import Optional
 import numpy as np
 
 from .implicit_map import _norm
-from .noise import CHUNK_STEPS, NoisePlan, _coarsen, fine_increments_block
+from .noise import (CHUNK_STEPS, NoisePlan, _coarsen, _whole_multiple,
+                    fine_increments_block)
 from .schemes import make_stepper
 
 
@@ -89,15 +90,6 @@ class EnsembleResult:
     observables: dict = field(default_factory=dict)   # name -> Series
 
 
-def _steps_per_record(delta, record_dt):
-    if record_dt is None:
-        return 1
-    k = round(record_dt / delta)
-    if k < 1 or abs(k * delta - record_dt) > 1e-9 * max(1.0, record_dt):
-        raise ValueError("record_dt must be a positive integer multiple of delta")
-    return k
-
-
 @dataclass
 class _Run:
     """One validated scheme run of a pass."""
@@ -135,7 +127,10 @@ def _prepare_run(problem, scheme, spec, observables=(), plan=None):
     if x0.shape != (n,):
         raise ValueError("x0 must be a scalar or length-%d vector" % n)
     n_coarse = plan.n_coarse_steps
-    k_rec = _steps_per_record(delta, spec.record_dt)
+    k_rec = (1 if spec.record_dt is None
+             else _whole_multiple(spec.record_dt, delta))
+    if k_rec is None:
+        raise ValueError("record_dt must be a positive integer multiple of delta")
     if n_coarse % k_rec != 0:
         raise ValueError("horizon is not a whole number of record intervals")
     rec_steps = np.arange(0, n_coarse + 1, k_rec, dtype=np.int64)

@@ -56,8 +56,8 @@ class NoisePlan:
             raise ValueError("n_paths and d must be positive")
         if self.fine_delta <= 0 or self.horizon <= 0:
             raise ValueError("fine_delta and horizon must be positive")
-        n = round(self.horizon / self.fine_delta)
-        if n < 1 or abs(n * self.fine_delta - self.horizon) > 1e-9 * max(1.0, self.horizon):
+        n = _whole_multiple(self.horizon, self.fine_delta)
+        if n is None:
             raise ValueError("horizon must be an integer multiple of fine_delta")
         if self.coarsen_factor < 1:
             raise ValueError("coarsen_factor must be >= 1")
@@ -80,6 +80,14 @@ class NoisePlan:
 
     def block_size(self, block_index):
         return min(BLOCK_PATHS, self.n_paths - block_index * BLOCK_PATHS)
+
+
+def _whole_multiple(span, step):
+    """The k >= 1 with |k * step - span| <= 1e-9 * max(1, span), else None."""
+    k = round(span / step)
+    if k < 1 or abs(k * step - span) > 1e-9 * max(1.0, span):
+        return None
+    return k
 
 
 def _chunk_normals(master_seed, block, chunk, d, rows=CHUNK_STEPS):

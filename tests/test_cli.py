@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from monosde import engine
 from monosde.cli import main
 
 
@@ -221,6 +222,43 @@ def test_one_path_is_a_config_error(tmp_path, capsys, command, key):
     assert rc == 2
     assert key in capsys.readouterr().err
     assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize("command,key,value", [
+    ("order", "scheme.alpha", -1.0), ("order", "scheme.alpha", 0),
+    ("order", "scheme.alpha", "abc"), ("simulate", "scheme.alpha", "abc"),
+    ("order", "scheme.kind", "foo"), ("simulate", "scheme.kind", "foo"),
+    ("weak-error", "reference.kind", "foo"),
+    ("weak-error", "reference.delta", -0.005),
+    ("order", "reference.kind", "foo"), ("order", "reference.delta", 0),
+])
+def test_bad_scheme_or_reference_is_a_config_error(tmp_path, capsys, command,
+                                                   key, value):
+    settings = dict(_SMALL_RUNS, **{key: value})
+    cfg = _write(tmp_path, "bad.cfg",
+                 "".join("%s = %s\n" % kv for kv in settings.items()))
+    out = tmp_path / "o"
+    rc = main([command, "--config", cfg, "--out", str(out)])
+    assert rc == 2
+    assert key in capsys.readouterr().err
+    assert not list(out.iterdir())
+
+
+def test_moments_runs_its_ensemble_once(tmp_path, monkeypatch):
+    calls = []
+    simulate = engine._simulate
+
+    def counting(runs, threads):
+        calls.append(len(runs))
+        return simulate(runs, threads)
+
+    monkeypatch.setattr(engine, "_simulate", counting)
+    cfg = _write(tmp_path, "mo.cfg",
+                 "problem.name = fig1\nscheme.kind = tte\nscheme.delta = 0.05\n"
+                 "run.x0 = 100.0\nrun.n_paths = 200\nrun.horizon = 5.0\n")
+    assert main(["moments", "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == 0
+    assert calls == [1]
 
 
 def test_json_config_accepted(tmp_path):

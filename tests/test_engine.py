@@ -142,13 +142,26 @@ def test_drift_step_audit_separates_schemes():
 
 def test_moment_recursion_audit_requires_tte():
     spec = m.EnsembleSpec(100.0, 200, 10.0, seed=0)
+    result = m.simulate_ensemble(FIG1, TTE, spec)
     with pytest.raises(ValueError):
-        m.moment_recursion_audit(FIG1, m.SchemeConfig("em", 0.05), spec)
+        m.moment_recursion_audit(FIG1, m.SchemeConfig("em", 0.05), result,
+                                 100.0)
+
+
+@pytest.mark.parametrize("record_dt,orders",
+                         [(0.25, (1, 2, 4)), (None, (4,))])
+def test_moment_recursion_audit_needs_every_step(record_dt, orders):
+    spec = m.EnsembleSpec(100.0, 64, 1.0, seed=0, record_dt=record_dt,
+                          moment_orders=orders)
+    result = m.simulate_ensemble(FIG1, TTE, spec)
+    with pytest.raises(ValueError, match="every step"):
+        m.moment_recursion_audit(FIG1, TTE, result, 100.0)
 
 
 def test_moment_recursion_audit_on_tte():
     spec = m.EnsembleSpec(100.0, 500, 20.0, seed=2)
-    rep = m.moment_recursion_audit(FIG1, TTE, spec, power=2)
+    result = m.simulate_ensemble(FIG1, TTE, spec)
+    rep = m.moment_recursion_audit(FIG1, TTE, result, 100.0, power=2)
     assert rep["pass"]
     assert rep["empirical_sup"] <= 100.0**2 + rep["fitted_C"] + 1e-9
     assert rep["first_step_ratio"] <= rep["contraction_bound"]

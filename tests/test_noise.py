@@ -1,9 +1,12 @@
 """Tests for the counter-based Brownian increment generator."""
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
 import monosde as m
+from monosde.noise import _whole_multiple
 
 
 def _stack_paths(plan, n, level="fine"):
@@ -100,3 +103,11 @@ def test_paths_across_block_boundary_are_deterministic():
         a = m.increments_for(plan, idx)
         b = m.increments_for(plan, idx)
         np.testing.assert_array_equal(a, b)
+
+
+@given(step=st.floats(1e-4, 1.0), k=st.integers(1, 10**5),
+       frac=st.floats(0.0, 0.4999))
+def test_whole_multiple(step, k, frac):
+    assert _whole_multiple(k * step, step) == k
+    assert _whole_multiple((k + 0.5) * step, step) is None
+    assert _whole_multiple(frac * step, step) is None
