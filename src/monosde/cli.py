@@ -2,7 +2,8 @@
 
 Subcommands: simulate, fig1, weak-error, order, local-error, moments, ses,
 check. Common flags: --config PATH, --seed U64 (overrides the config),
---threads N (worker cap, never changes results), --out DIR.
+--threads N (caps worker processes at the usable cores; never changes
+results), --out DIR.
 
 Exit codes: 0 ok, 2 config error, 3 simulation blow-up, 4 analysis failure.
 Every output file embeds the tool version, a 16-hex config hash, and the
@@ -439,7 +440,7 @@ def _build_parser():
     common.add_argument("--config", help="config file (dotted keys or JSON)")
     common.add_argument("--seed", type=int, help="master seed override")
     common.add_argument("--threads", type=int,
-                        help="worker cap (does not affect results)")
+                        help="worker process cap (does not affect results)")
     common.add_argument("--out", default=".", help="output directory")
     parser = argparse.ArgumentParser(
         prog="monosde",

@@ -1,9 +1,17 @@
 """Ensemble simulation with deterministic parallel reduction.
 
 Paths are partitioned into the same fixed blocks the noise generator uses.
-Each block accumulates its own partial sums; blocks may run on a thread pool,
-but partials are always combined in ascending block order, so results are
-bitwise identical for any thread count.
+Each block accumulates its own partial sums, and partials are always combined
+in ascending block order, so results are bitwise identical for any worker
+count.
+
+Blocks of a pass are mapped over W = min(threads, blocks, usable cores)
+workers: worker w runs blocks w, w + W, ... in ascending order. Worker 0 is
+the calling process; the others are forked child processes, which inherit
+the validated runs (closures and lambdas included, nothing of them is
+pickled) and, when done, send back only their blocks' partials and their
+first error, if any, over a pipe. A pass raises the error of the lowest-numbered failing block,
+which is the error a single worker raises. With W = 1 nothing is forked.
 
 A block walks its fine rows once, one chunk-aligned window at a time, so each
 fine row is drawn at most once per pass. Runs coupled on the same fine
@@ -26,7 +34,7 @@ no path survives to the end, AllPathsBlewUp is raised with the partial
 result attached.
 """
 
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -54,7 +62,8 @@ class EnsembleSpec:
     record_dt None means record at every coarse step; otherwise it must be an
     integer multiple of the scheme step. x0 is a scalar or a length-N vector
     shared by all paths. Each moment order p is recorded as the mean of the
-    observable |x|^p.
+    observable |x|^p. threads caps the worker processes of a pass at the
+    usable cores; it never changes a result.
     """
 
     x0: object
@@ -145,7 +154,8 @@ def simulate_ensemble(problem, scheme, spec, observables=(), plan=None,
     Args:
         problem: SdeProblem.
         scheme: SchemeConfig; scheme.delta is the stepping resolution.
-        spec: EnsembleSpec; its threads cap the pool of the whole pass.
+        spec: EnsembleSpec; its threads cap the worker processes of the
+            whole pass.
         observables: iterable of Observable; each gets a mean series.
         plan: optional NoisePlan for common-random-number coupling. Its
             coarse_delta must equal scheme.delta and its horizon/paths must
@@ -184,24 +194,83 @@ def _simulate(runs, threads):
                                  % (name, getattr(run.plan, name),
                                     getattr(lead, name)))
 
-    n_blocks = max(run.plan.n_blocks for run in runs)
-
-    def run_block(b):
-        return _run_block(runs, b)
-
-    blocks = range(n_blocks)
-    if threads > 1 and n_blocks > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(run_block, blocks))
-    else:
-        partials = [run_block(b) for b in blocks]
-
+    partials = _map_blocks(runs, max(run.plan.n_blocks for run in runs),
+                           threads)
     results = [_reduce(run, [part[i] for part in partials if part[i] is not None])
                for i, run in enumerate(runs)]
     for result in results:
         if result.n_active[-1] == 0:
             raise AllPathsBlewUp(result)
     return results
+
+
+def _usable_cores():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _map_blocks(runs, n_blocks, threads):
+    """Every block's _run_block partials, in block order, from
+    min(threads, n_blocks, usable cores) workers; raises the error of the
+    lowest-numbered failing block."""
+    workers = min(threads, n_blocks, _usable_cores())
+    children = []
+    try:
+        if workers > 1:
+            import multiprocessing
+            ctx = multiprocessing.get_context("fork")
+            for w in range(1, workers):
+                recv, send = ctx.Pipe(duplex=False)
+                proc = ctx.Process(target=_block_worker, daemon=True,
+                                   args=(runs, range(w, n_blocks, workers), send))
+                proc.start()
+                send.close()
+                children.append((proc, recv))
+        outcomes = [_run_blocks(runs, range(0, n_blocks, workers))]
+        for proc, recv in children:
+            try:
+                outcomes.append(recv.recv())
+            except EOFError:
+                proc.join()
+                raise RuntimeError("a block worker exited with code %s"
+                                   % proc.exitcode) from None
+    finally:
+        for proc, recv in children:
+            recv.close()
+            if proc.is_alive():
+                proc.terminate()
+            proc.join()
+    partials = [None] * n_blocks
+    errors = []
+    for w, (parts, error) in enumerate(outcomes):
+        for b, part in zip(range(w, n_blocks, workers), parts):
+            partials[b] = part
+        if error is not None:
+            errors.append(error)
+    if errors:
+        raise min(errors, key=lambda error: error[0])[1]
+    return partials
+
+
+def _run_blocks(runs, blocks):
+    """Run blocks in order until one fails; returns their partials and
+    (block, error) of the failure, or None."""
+    parts = []
+    for b in blocks:
+        try:
+            parts.append(_run_block(runs, b))
+        except Exception as exc:
+            return parts, (b, exc)
+    return parts, None
+
+
+def _block_worker(runs, blocks, conn):
+    """Forked worker body: one message with the outcome of its blocks, sent
+    once they are all done, so a send never holds up the next block."""
+    conn.send(_run_blocks(runs, blocks))
+    conn.close()
 
 
 def _reduce(run, partials):

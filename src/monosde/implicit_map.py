@@ -29,6 +29,11 @@ class NonConvergence(RuntimeError):
             "implicit solve did not converge: residual %.3e at batch index %s"
             % (self.residual, index))
 
+    def __reduce__(self):
+        # The default passes only the message to __init__; errors cross the
+        # engine's worker pipes pickled.
+        return (type(self), (self.residual, self.index))
+
 
 class DeltaTooLarge(ValueError):
     """delta >= 1/(2*c0) for a drift with one-sided constant c0 > 0."""

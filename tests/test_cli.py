@@ -67,6 +67,23 @@ def test_reruns_are_byte_identical_across_threads(tmp_path):
         assert f.read_bytes() == (outs[1] / f.name).read_bytes(), f.name
 
 
+def test_multi_block_fig1_is_byte_identical_across_threads(tmp_path):
+    # a 5000-path reference spans two noise blocks, so two workers split it
+    cfg = _write(tmp_path, "f.cfg",
+                 "fig1.n_paths = 100\nfig1.ref_paths = 5000\n"
+                 "fig1.horizon = 0.25\n")
+    outs = []
+    for threads, sub in [("1", "a"), ("2", "b")]:
+        out = tmp_path / sub
+        assert main(["fig1", "--config", cfg, "--seed", "3",
+                     "--threads", threads, "--out", str(out)]) == 0
+        outs.append(out)
+    names = sorted(f.name for f in outs[0].iterdir())
+    assert names == sorted(f.name for f in outs[1].iterdir())
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 def test_config_error_names_field(tmp_path, capsys):
     cfg = _write(tmp_path, "bad.cfg",
                  "problem.name = fig1\nscheme.delta = -0.05\n")

@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo ensemble engine."""
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import monosde as m
+from monosde import engine
+from monosde.noise import BLOCK_PATHS
 
 FIG1 = m.make_fig1()
 TTE = m.SchemeConfig("tte", 0.05, alpha=1.3)
@@ -39,6 +42,62 @@ def test_results_identical_across_thread_counts():
         for p in base.moments:
             np.testing.assert_array_equal(other.moments[p].mean,
                                           base.moments[p].mean)
+
+
+def _assert_results_equal(a, b):
+    np.testing.assert_array_equal(a.n_active, b.n_active)
+    assert a.n_blowups == b.n_blowups
+    for series in ("observables", "moments"):
+        sa, sb = getattr(a, series), getattr(b, series)
+        assert sa.keys() == sb.keys()
+        for key in sa:
+            for name in ("times", "mean", "stderr"):
+                np.testing.assert_array_equal(getattr(sa[key], name),
+                                              getattr(sb[key], name))
+
+
+@settings(max_examples=6, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(n_paths=st.integers(BLOCK_PATHS + 1, 3 * BLOCK_PATHS),
+       n_steps=st.integers(1, 4), threads=st.integers(2, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_multi_block_results_do_not_depend_on_threads(n_paths, n_steps,
+                                                      threads, seed):
+    obs = [m.make_observable("identity"), m.make_observable("arctan")]
+    runs = [m.simulate_ensemble(FIG1, TTE, m.EnsembleSpec(
+                1.0, n_paths, n_steps * TTE.delta, seed=seed, threads=t), obs)
+            for t in (1, threads)]
+    _assert_results_equal(*runs)
+
+
+@pytest.mark.parametrize("failing", [{1}, {1, 2}, {2}, {0, 1}])
+@pytest.mark.parametrize("threads", [2, 3])
+def test_worker_errors_match_one_worker(monkeypatch, failing, threads):
+    # the lowest-numbered failing block's error reaches the caller, typed,
+    # whichever worker ran it, and no worker process outlives the pass
+    run_block = engine._run_block
+
+    def flaky(runs, b):
+        if b in failing:
+            raise m.NonConvergence(float(b), b)
+        return run_block(runs, b)
+
+    monkeypatch.setattr(engine, "_run_block", flaky)
+    errors = []
+    for t in (1, threads):
+        spec = m.EnsembleSpec(1.0, 3 * BLOCK_PATHS, 0.1, seed=2, threads=t)
+        with pytest.raises(m.NonConvergence) as exc:
+            m.simulate_ensemble(FIG1, TTE, spec)
+        errors.append((type(exc.value), str(exc.value), exc.value.index))
+        assert not multiprocessing.active_children()
+    assert errors[1] == errors[0]
+    assert errors[0][2] == min(failing)
+
+
+def test_passing_multi_block_pass_leaves_no_workers():
+    spec = m.EnsembleSpec(1.0, 2 * BLOCK_PATHS, 0.1, seed=2, threads=2)
+    m.simulate_ensemble(FIG1, TTE, spec)
+    assert not multiprocessing.active_children()
 
 
 def test_record_grid_from_record_dt():

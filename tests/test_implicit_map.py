@@ -1,9 +1,12 @@
 """Tests for the implicit drift map F_delta and its solver."""
+import pickle
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 import monosde as m
+from monosde.analysis import NonFiniteEstimate
 from monosde.implicit_map import ImplicitSolveConfig, _norm
 
 CUBIC = m.make_cubic_1d(1.0, 0.3)
@@ -122,6 +125,19 @@ def test_non_convergence_is_reported():
                               max_bisection_iters=1)
     with pytest.raises(m.NonConvergence):
         m.solve_fdelta(CUBIC, np.array([100.0]), 0.1, config=cfg)
+
+
+@pytest.mark.parametrize("exc", [
+    m.NonConvergence(3.5e-7, 12), m.DeltaTooLarge("delta too large"),
+    NonFiniteEstimate("curve is not finite"),
+])
+def test_typed_errors_survive_pickling(exc):
+    # the engine's worker processes send a block's error to the caller pickled
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is type(exc)
+    assert str(back) == str(exc)
+    if isinstance(exc, m.NonConvergence):
+        assert (back.residual, back.index) == (exc.residual, exc.index)
 
 
 def test_solver_handles_large_inputs():
