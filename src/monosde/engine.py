@@ -274,21 +274,31 @@ def _block_worker(runs, blocks, conn):
 
 
 def _reduce(run, partials):
-    """Fixed-order reduction: ascending block index, elementwise adds."""
+    """Fixed-order reduction in ascending block index: counts and sums add
+    elementwise; the centred sums of squares merge pairwise (Chan, Golub and
+    LeVeque, Am. Stat. 37, 1983), M2 = M2a + M2b + d^2 na nb / n with d the
+    difference of the two means, skipping blocks with no paths at a time."""
     n_out = run.rec_steps.size
     counts = np.zeros(n_out, dtype=np.int64)
     sums = np.zeros((n_out, len(run.observables) + len(run.spec.moment_orders)))
-    sqs = np.zeros_like(sums)
+    m2 = np.zeros_like(sums)
     blowups = 0
-    for part_counts, part_sums, part_sqs, part_blowups in partials:
+    for part_counts, part_sums, part_m2, part_blowups in partials:
+        na = counts[:, None].astype(float)
+        nb = part_counts[:, None].astype(float)
+        both = (na > 0) & (nb > 0)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            d = part_sums / nb - sums / na
+            corr = np.where(both, d * d * (na * nb / (na + nb)), 0.0)
+        m2 += part_m2
+        m2 += corr
         counts += part_counts
         sums += part_sums
-        sqs += part_sqs
         blowups += part_blowups
 
     delta = run.scheme.delta
     times = run.rec_steps * delta
-    series = [Series(times, *_mean_stderr(sums[:, j], sqs[:, j], counts))
+    series = [Series(times, *_mean_stderr(sums[:, j], m2[:, j], counts))
               for j in range(sums.shape[1])]
     k = len(run.observables)
     return EnsembleResult(
@@ -299,12 +309,11 @@ def _reduce(run, partials):
         observables={obs.name: s for obs, s in zip(run.observables, series)})
 
 
-def _mean_stderr(s, sq, counts):
+def _mean_stderr(s, m2, counts):
     counts = counts.astype(float)
     with np.errstate(invalid="ignore", divide="ignore"):
         mean = np.where(counts > 0, s / np.maximum(counts, 1.0), np.nan)
-        var = (sq - counts * mean**2) / np.maximum(counts - 1.0, 1.0)
-        var = np.maximum(var, 0.0)
+        var = m2 / np.maximum(counts - 1.0, 1.0)
         se = np.where(counts > 1, np.sqrt(var / np.maximum(counts, 1.0)), np.nan)
     return mean, se
 
@@ -341,7 +350,8 @@ class _BlockRun:
     """One run's paths in one block: state, survivors and partial sums.
 
     The recorded columns are the observables followed by |x|^p for each
-    moment order p; each gets a sum and a sum of squares per record time.
+    moment order p; each gets a sum and a centred sum of squares M2 (taken
+    about the block's own mean, in a second pass) per record time.
 
     Fine rows arrive in windows that need not hold whole coarse steps; the
     fewer than m rows of an unfinished step carry over to the next window,
@@ -363,7 +373,7 @@ class _BlockRun:
         n_out = run.rec_steps.size
         self.counts = np.zeros(n_out, dtype=np.int64)
         self.sums = np.zeros((n_out, len(self.columns)))
-        self.sqs = np.zeros_like(self.sums)
+        self.m2 = np.zeros_like(self.sums)
 
         self.step_idx = 0
         self.ptr = 0
@@ -374,13 +384,16 @@ class _BlockRun:
 
     def record(self, j):
         xa = self.x[self.active]
-        self.counts[j] = xa.shape[0]
-        if xa.shape[0] == 0:
+        n = xa.shape[0]
+        self.counts[j] = n
+        if n == 0:
             return
         for i, column in enumerate(self.columns):
             g = column(xa)
-            self.sums[j, i] = np.sum(g)
-            self.sqs[j, i] = np.sum(g * g)
+            s = np.sum(g)
+            self.sums[j, i] = s
+            dev = g - s / n
+            self.m2[j, i] = np.sum(dev * dev)
 
     def wants_noise(self):
         return self.step_idx < self.n_coarse and bool(self.active.any())
@@ -415,6 +428,6 @@ class _BlockRun:
                 self.ptr += 1
 
     def partial(self):
-        return (self.counts, self.sums, self.sqs,
+        return (self.counts, self.sums, self.m2,
                 int(self.size - self.active.sum()))
 

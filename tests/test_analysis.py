@@ -129,7 +129,9 @@ def test_ses_probe_no_decay_control():
 def _reference_tangent_run(problem, x0, plan, gradf, n_rec, k_rec):
     """Joint (x, J) explicit EM at the plan's fine step, one block at a time;
     returns the mean vector series of J^T grad f(x_t) with per-component
-    standard errors. The reference loop the engine route must reproduce."""
+    standard errors. The reference loop the engine route must reproduce: a
+    block's spread is summed about its own mean, and blocks merge in order
+    by the pairwise update of Chan, Golub and LeVeque."""
     delta = plan.fine_delta
     n = problem.dim_state
     ns = problem.noise_scale
@@ -140,12 +142,13 @@ def _reference_tangent_run(problem, x0, plan, gradf, n_rec, k_rec):
         x = np.broadcast_to(x0, (size, n)).astype(float).copy()
         jmat = np.broadcast_to(eye, (size, n, n)).copy()
         vsum = np.zeros((n_rec + 1, n))
-        vsq = np.zeros((n_rec + 1, n))
+        vm2 = np.zeros((n_rec + 1, n))
 
         def record(j):
             v = np.einsum("...mi,...m->...i", jmat, gradf(x))
             vsum[j] = v.sum(axis=0)
-            vsq[j] = (v * v).sum(axis=0)
+            dev = v - vsum[j] / size
+            vm2[j] = (dev * dev).sum(axis=0)
 
         record(0)
         step_idx = 0
@@ -163,14 +166,17 @@ def _reference_tangent_run(problem, x0, plan, gradf, n_rec, k_rec):
                 step_idx += 1
                 if step_idx % k_rec == 0:
                     record(step_idx // k_rec)
-        return vsum, vsq, size
+        return vsum, vm2, size
 
-    parts = [run_block(b) for b in range(plan.n_blocks)]
-    vsum = sum((p[0] for p in parts[1:]), parts[0][0].copy())
-    vsq = sum((p[1] for p in parts[1:]), parts[0][1].copy())
-    total = sum(p[2] for p in parts)
+    vsum, vm2, total = run_block(0)
+    for b in range(1, plan.n_blocks):
+        bsum, bm2, size = run_block(b)
+        d = bsum / size - vsum / total
+        vm2 = vm2 + bm2 + d * d * (total * size / (total + size))
+        vsum = vsum + bsum
+        total += size
     mean = vsum / total
-    var = np.maximum((vsq - total * mean**2) / max(total - 1, 1), 0.0)
+    var = vm2 / max(total - 1, 1)
     return mean, np.sqrt(var / total)
 
 

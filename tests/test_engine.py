@@ -100,6 +100,20 @@ def test_passing_multi_block_pass_leaves_no_workers():
     assert not multiprocessing.active_children()
 
 
+@pytest.mark.parametrize("n_paths", [1000, 5000])
+def test_stderr_does_not_depend_on_a_constant_shift(n_paths):
+    # |X|^4 from x0 = 100 is of order 1e8; a variance formed from sums of
+    # squares loses every digit of the spread at that offset
+    shift = m.Observable("shift", lambda x: 1e8 + x[..., 0], None, None, 0.0)
+    spec = m.EnsembleSpec(1.0, n_paths, 5.0, seed=2, record_dt=0.25)
+    res = m.simulate_ensemble(FIG1, TTE, spec,
+                              [m.make_observable("identity"), shift])
+    ratio = (res.observables["shift"].stderr[1:]
+             / res.observables["identity"].stderr[1:])
+    assert ratio.size == 20
+    assert np.all((ratio >= 0.999) & (ratio <= 1.001))
+
+
 def test_record_grid_from_record_dt():
     spec = m.EnsembleSpec(1.0, 16, 1.0, seed=0, record_dt=0.25)
     r = m.simulate_ensemble(FIG1, TTE, spec)
