@@ -115,6 +115,25 @@ def _run_ints(cfg):
             _positive(cfg, "run.horizon", 10.0))
 
 
+def _require_grid(horizon, record_dt, delta, keys):
+    """Raise a ConfigError naming the key at fault unless record_dt is a
+    whole number of steps delta and horizon a whole number of record
+    intervals; record_dt None records every step. keys names (horizon,
+    record_dt, delta) in the config."""
+    h_key, r_key, d_key = keys
+    if record_dt is None:
+        record_dt, r_key = delta, d_key
+    elif _whole_multiple(record_dt, delta) is None:
+        raise ConfigError("config key %r (%g) must be a whole multiple of %r "
+                          "(%g)" % (r_key, record_dt, d_key, delta))
+    if _whole_multiple(horizon, record_dt) is None:
+        raise ConfigError("config key %r (%g) must be a whole multiple of %r "
+                          "(%g)" % (h_key, horizon, r_key, record_dt))
+
+
+_RUN_GRID = ("run.horizon", "run.record_dt", "scheme.delta")
+
+
 def _series_columns(result, series):
     blowups = result.n_paths - result.n_active
     return [("time", series.times),
@@ -146,6 +165,7 @@ def cmd_simulate(ctx):
     n_paths, horizon = _run_ints(cfg)
     record_dt = get_value(cfg, "run.record_dt", 0.25)
     record_dt = None if record_dt is None else float(record_dt)
+    _require_grid(horizon, record_dt, scheme.delta, _RUN_GRID)
     orders = tuple(get_value(cfg, "run.moment_orders", [1, 2, 4]))
     spec = EnsembleSpec(x0, n_paths, horizon, seed=ctx.seed,
                         record_dt=record_dt, threads=ctx.threads,
@@ -183,6 +203,7 @@ def cmd_fig1(ctx):
     x0s = [float(v) for v in get_value(cfg, "fig1.x0s", [1.0, 100.0])]
     if _whole_multiple(delta, ref_delta) is None:
         raise ConfigError("fig1.ref_delta must divide fig1.delta")
+    _require_grid(horizon, None, delta, ("fig1.horizon", None, "fig1.delta"))
 
     obs = make_observable("identity")
     reference = ReferenceConfig(kind="tamed", delta=ref_delta, n_paths=ref_paths)
@@ -232,6 +253,7 @@ def cmd_weak_error(ctx):
     x0 = _x0_from_cfg(cfg)
     n_paths, horizon = _run_ints(cfg)
     record_dt = get_value(cfg, "run.record_dt", 0.25, float)
+    _require_grid(horizon, record_dt, scheme.delta, _RUN_GRID)
     reference = _reference_from_cfg(cfg, 5e-4, 10000)
     rep = weak_error_curve(problem, scheme, obs, x0, horizon, n_paths,
                            seed=ctx.seed, record_dt=record_dt,
@@ -339,6 +361,7 @@ def cmd_moments(ctx):
     orders = tuple(get_value(cfg, "run.moment_orders", [1, 2, 4]))
     record_dt = get_value(cfg, "run.record_dt", None)
     record_dt = None if record_dt is None else float(record_dt)
+    _require_grid(horizon, record_dt, scheme.delta, _RUN_GRID)
     spec = EnsembleSpec(x0, n_paths, horizon, seed=ctx.seed,
                         record_dt=record_dt, threads=ctx.threads,
                         moment_orders=orders)
@@ -368,6 +391,8 @@ def cmd_ses(ctx):
     horizon = _positive(cfg, "ses.horizon", 6.0)
     n_paths = _path_count(cfg, "ses.n_paths", 4096)
     record_dt = _positive(cfg, "ses.record_dt", 0.25)
+    _require_grid(horizon, record_dt, fine_delta,
+                  ("ses.horizon", "ses.record_dt", "ses.fine_delta"))
     bump = _positive(cfg, "ses.bump", 0.05)
     second = bool(get_value(cfg, "ses.second", True))
     rep = ses_probe(problem, obs, points, horizon, n_paths, fine_delta,

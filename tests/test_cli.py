@@ -261,6 +261,30 @@ def test_bad_scheme_or_reference_is_a_config_error(tmp_path, capsys, command,
     assert not list(out.iterdir())
 
 
+@pytest.mark.parametrize("command,settings,key", [
+    ("simulate", {"run.record_dt": 0.12, "scheme.delta": 0.05}, "run.record_dt"),
+    ("weak-error", {"run.record_dt": 0.12, "scheme.delta": 0.05},
+     "run.record_dt"),
+    ("moments", {"run.record_dt": 0.12, "scheme.delta": 0.05}, "run.record_dt"),
+    ("ses", {"problem.name": "coupled2d", "ses.fine_delta": 0.02},
+     "ses.record_dt"),
+    ("simulate", {"run.horizon": 0.6, "run.record_dt": 0.25}, "run.horizon"),
+    ("ses", {"ses.horizon": 0.6}, "ses.horizon"),
+    ("fig1", {"fig1.horizon": 0.27}, "fig1.horizon"),
+])
+def test_off_grid_record_dt_or_horizon_is_a_config_error(tmp_path, capsys,
+                                                         command, settings,
+                                                         key):
+    settings = dict(_SMALL_RUNS, **settings)
+    cfg = _write(tmp_path, "grid.cfg",
+                 "".join("%s = %s\n" % kv for kv in settings.items()))
+    out = tmp_path / "o"
+    rc = main([command, "--config", cfg, "--out", str(out)])
+    assert rc == 2
+    assert key in capsys.readouterr().err
+    assert not list(out.iterdir())
+
+
 def test_moments_runs_its_ensemble_once(tmp_path, monkeypatch):
     calls = []
     simulate = engine._simulate
