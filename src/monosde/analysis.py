@@ -512,7 +512,7 @@ def ses_probe(problem, f, initial_points, horizon, n_paths, fine_delta,
         run = _prepare_run(problem, scheme, spec, observables)
         runs.append(replace(run, stepper=stepper,
                             x0=np.concatenate([p, np.eye(n).ravel()])))
-    results = _simulate(runs, threads)
+    results = _simulate(runs)
     times = results[0].times
     curves = []
     for p, res in zip(starts, results):

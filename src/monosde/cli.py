@@ -115,12 +115,17 @@ def _run_ints(cfg):
             _positive(cfg, "run.horizon", 10.0))
 
 
-def _require_grid(horizon, record_dt, delta, keys):
+def _require_grid(horizon, record_dt, delta, keys, reference=None):
     """Raise a ConfigError naming the key at fault unless record_dt is a
     whole number of steps delta and horizon a whole number of record
     intervals; record_dt None records every step. keys names (horizon,
-    record_dt, delta) in the config."""
+    record_dt, delta) in the config. A reference (ReferenceConfig) must
+    step a whole fraction of delta, so it shares the run's grid."""
     h_key, r_key, d_key = keys
+    if (reference is not None
+            and _whole_multiple(delta, reference.delta) is None):
+        raise ConfigError("config key 'reference.delta' (%g) must divide %r "
+                          "(%g)" % (reference.delta, d_key, delta))
     if record_dt is None:
         record_dt, r_key = delta, d_key
     elif _whole_multiple(record_dt, delta) is None:
@@ -141,6 +146,14 @@ def _series_columns(result, series):
             ("stderr", series.stderr),
             ("n_effective", result.n_active),
             ("blowups", blowups)]
+
+
+def _stderr_flag(result):
+    """{"stderr_undefined_at": record times} for the times at which fewer
+    than two paths survive, so the stderr columns read nan there; {} when
+    every standard error is defined."""
+    times = result.times[result.n_active < 2]
+    return {"stderr_undefined_at": times} if times.size else {}
 
 
 def _run_meta(ctx, problem, scheme, x0):
@@ -179,14 +192,16 @@ def cmd_simulate(ctx):
         mseries = result.moments[p]
         write_csv(ctx.out / ("moments_p%s.csv" % _fmt(p)), meta,
                   _series_columns(result, mseries))
+    stderr = float(series.stderr[-1])
     write_json(ctx.out / "run.json", dict(meta), {
         "n_paths": result.n_paths,
         "n_blowups": result.n_blowups,
         "final": {
             "time": float(series.times[-1]),
             obs.name: float(series.mean[-1]),
-            "stderr": float(series.stderr[-1]),
+            "stderr": stderr if np.isfinite(stderr) else None,
         },
+        **_stderr_flag(result),
     })
     return 0
 
@@ -253,8 +268,8 @@ def cmd_weak_error(ctx):
     x0 = _x0_from_cfg(cfg)
     n_paths, horizon = _run_ints(cfg)
     record_dt = get_value(cfg, "run.record_dt", 0.25, float)
-    _require_grid(horizon, record_dt, scheme.delta, _RUN_GRID)
     reference = _reference_from_cfg(cfg, 5e-4, 10000)
+    _require_grid(horizon, record_dt, scheme.delta, _RUN_GRID, reference)
     rep = weak_error_curve(problem, scheme, obs, x0, horizon, n_paths,
                            seed=ctx.seed, record_dt=record_dt,
                            reference=reference, threads=ctx.threads)
@@ -303,6 +318,10 @@ def cmd_order(ctx):
 
     reference = _reference_from_cfg(cfg, min(deltas) / 8.0,
                                     max(n_paths, 10000))
+    for delta in deltas:
+        _require_grid(horizon, None, delta, ("run.horizon", None,
+                                             "order.deltas"),
+                      None if exact else reference)
     rep = convergence_order(problem, scheme.kind, deltas, obs, x0, horizon,
                             n_paths, seed=ctx.seed, record_dt=record_dt,
                             reference=None if exact else reference,
@@ -367,7 +386,8 @@ def cmd_moments(ctx):
                         moment_orders=orders)
     result = simulate_ensemble(problem, scheme, spec)
     meta = _run_meta(ctx, problem, scheme, x0)
-    payload = {"n_blowups": result.n_blowups, "sup": {}}
+    payload = {"n_blowups": result.n_blowups, "sup": {},
+               **_stderr_flag(result)}
     for p in orders:
         series = result.moments[p]
         write_csv(ctx.out / ("moments_p%s.csv" % _fmt(p)), meta,

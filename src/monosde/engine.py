@@ -10,14 +10,30 @@ workers: worker w runs blocks w, w + W, ... in ascending order. Worker 0 is
 the calling process; the others are forked child processes, which inherit
 the validated runs (closures and lambdas included, nothing of them is
 pickled) and, when done, send back only their blocks' partials and their
-first error, if any, over a pipe. A pass raises the error of the lowest-numbered failing block,
-which is the error a single worker raises. With W = 1 nothing is forked.
+first error, if any, over a pipe. A pass raises the error of the
+lowest-numbered failing block, which is the error a single worker raises.
+With W = 1 nothing is forked for the blocks.
 
-A block walks its fine rows once, one chunk-aligned window at a time, so each
-fine row is drawn at most once per pass. Runs coupled on the same fine
-lattice (a reference and its coarse schemes) share that pass: every run
-takes the window's rows at its own width and coarsening factor, and gets the
-result it would get alone.
+A block walks its fine rows once, one window at a time, so each fine row is
+drawn at most once per pass. Runs coupled on the same fine lattice (a
+reference and its coarse schemes) share that pass: every run takes the
+window's rows at its own width and coarsening factor, and gets the result it
+would get alone.
+
+When a pass has fewer blocks than min(threads, usable cores), a core would
+sit idle, so each block is fed: a forked producer process draws the block's
+rows through noise._fine_rows, _FEED_ROWS rows per window, and writes each
+window into the next of _FEED_SLOTS slots of a ring in an anonymous shared
+mmap made before the fork. One-byte tokens on two pipes say that a slot is
+ready and that it is free again. The calling process draws window 0 itself,
+through noise.fine_increments_block, while the child starts. The stepper
+reads a slot in place and holds no view of it beyond _BlockRun.advance, so a
+slot is handed back when the next window is taken. The windows, and so the
+bits, are those of the producer's generator, which equal the in-process
+draws; a fed pass gives every result of an unfed one. Once no run wants
+noise the consumer stops reading. A producer that dies raises RuntimeError
+with its exit code; an error of the consumer stops and reaps the producer
+and then propagates unchanged.
 
 Each step takes a block's whole state array, frozen rows included, and
 writes a new state back in place, one column at a time, only for the paths
@@ -34,6 +50,7 @@ no path survives to the end, AllPathsBlewUp is raised with the partial
 result attached.
 """
 
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Optional
@@ -41,9 +58,12 @@ from typing import Optional
 import numpy as np
 
 from .implicit_map import _norm
-from .noise import (CHUNK_STEPS, NoisePlan, _coarsen, _whole_multiple,
-                    fine_increments_block)
+from .noise import (CHUNK_STEPS, NoisePlan, _coarsen, _fine_rows,
+                    _whole_multiple, _windows, fine_increments_block)
 from .schemes import make_stepper
+
+_FEED_ROWS = 64     # fine rows per window of a fed block
+_FEED_SLOTS = 4     # windows in the ring between a producer and its block
 
 
 class AllPathsBlewUp(RuntimeError):
@@ -179,13 +199,14 @@ def simulate_ensemble(problem, scheme, spec, observables=(), plan=None,
     """
     runs = [_prepare_run(problem, scheme, spec, observables, plan)]
     runs += [_prepare_run(problem, *args) for args in (coupled or ())]
-    results = _simulate(runs, spec.threads)
+    results = _simulate(runs)
     return results[0] if coupled is None else results
 
 
-def _simulate(runs, threads):
+def _simulate(runs):
     """One pass of validated runs over their shared fine lattice; returns
-    one EnsembleResult per run, in order."""
+    one EnsembleResult per run, in order. The lead run's spec.threads caps
+    the pass's worker processes."""
     lead = runs[0].plan
     for run in runs[1:]:
         for name in ("master_seed", "fine_delta", "n_fine_steps"):
@@ -194,14 +215,17 @@ def _simulate(runs, threads):
                                  % (name, getattr(run.plan, name),
                                     getattr(lead, name)))
 
-    partials = _map_blocks(runs, max(run.plan.n_blocks for run in runs),
-                           threads)
+    partials = _map_blocks(runs, _n_blocks(runs), runs[0].spec.threads)
     results = [_reduce(run, [part[i] for part in partials if part[i] is not None])
                for i, run in enumerate(runs)]
     for result in results:
         if result.n_active[-1] == 0:
             raise AllPathsBlewUp(result)
     return results
+
+
+def _n_blocks(runs):
+    return max(run.plan.n_blocks for run in runs)
 
 
 def _usable_cores():
@@ -223,7 +247,8 @@ def _map_blocks(runs, n_blocks, threads):
             ctx = multiprocessing.get_context("fork")
             for w in range(1, workers):
                 recv, send = ctx.Pipe(duplex=False)
-                proc = ctx.Process(target=_block_worker, daemon=True,
+                # not a daemon: a worker may fork a noise producer
+                proc = ctx.Process(target=_block_worker,
                                    args=(runs, range(w, n_blocks, workers), send))
                 proc.start()
                 send.close()
@@ -327,23 +352,99 @@ def _survivors(y, threshold):
 
 def _run_block(runs, b):
     """Step every run that has path block b through one pass over its fine
-    rows, chunk by chunk; returns each run's partial sums (None where the
-    run has no block b)."""
+    rows, window by window; returns each run's partial sums (None where the
+    run has no block b). The block is fed by a producer process when the
+    pass has fewer blocks than min(threads, usable cores)."""
     states = [_BlockRun(run, b) if b < run.plan.n_blocks else None
               for run in runs]
     live = [st for st in states if st is not None]
     widest = max(live, key=lambda st: st.size).run.plan
     end = max(st.fine_end for st in live)
-    s = 0
-    while s < end:
-        e = min((s // CHUNK_STEPS + 1) * CHUNK_STEPS, end)
-        fine = None
-        if any(st.wants_noise() for st in live):
-            fine = fine_increments_block(widest, b, s, e - s)
-        for st in live:
-            st.advance(fine, e)
-        s = e
+    fed = _n_blocks(runs) < min(runs[0].spec.threads, _usable_cores())
+    windows = _windows(end, _FEED_ROWS if fed else CHUNK_STEPS)
+    feed = None
+    try:
+        if fed and len(windows) > 1:
+            feed = _Feed(widest, b, windows[1:])
+        for s, e in windows:
+            fine = None
+            if any(st.wants_noise() for st in live):
+                fine = (feed.take(e - s) if feed is not None and s
+                        else fine_increments_block(widest, b, s, e - s))
+            for st in live:
+                st.advance(fine, e)
+    finally:
+        if feed is not None:
+            feed.close()
     return [None if st is None else st.partial() for st in states]
+
+
+class _Feed:
+    """A forked producer of block b's fine rows for consecutive windows of
+    at most _FEED_ROWS steps, handed over through a ring of _FEED_SLOTS
+    shared slots."""
+
+    def __init__(self, plan, b, windows):
+        import mmap
+        import multiprocessing
+        shape = (_FEED_ROWS, plan.block_size(b), plan.d)
+        size = math.prod(shape)
+        ring = mmap.mmap(-1, _FEED_SLOTS * size * 8)
+        self.slots = [np.frombuffer(ring, float, size, k * size * 8).reshape(shape)
+                      for k in range(_FEED_SLOTS)]
+        self.n_windows = len(windows)
+        self.taken = 0
+        self.ready, ready_w = os.pipe()
+        free_r, self.free = os.pipe()
+        self.proc = multiprocessing.get_context("fork").Process(
+            target=_produce, daemon=True,
+            args=(plan, b, windows, self.slots, ready_w, free_r,
+                  (self.ready, self.free)))
+        try:
+            self.proc.start()
+        except BaseException:
+            os.close(self.ready)
+            os.close(self.free)
+            raise
+        finally:
+            os.close(ready_w)
+            os.close(free_r)
+
+    def take(self, n):
+        """The next window's n rows, a view of its slot; hands the previous
+        window's slot back when the producer will need it again."""
+        if 0 < self.taken <= self.n_windows - _FEED_SLOTS:
+            try:
+                os.write(self.free, b"f")
+            except BrokenPipeError:
+                pass    # the producer is gone; the ready pipe ends in EOF
+        if not os.read(self.ready, 1):
+            self.proc.join()
+            raise RuntimeError("the noise producer exited with code %s"
+                               % self.proc.exitcode)
+        slot = self.slots[self.taken % _FEED_SLOTS]
+        self.taken += 1
+        return slot[:n]
+
+    def close(self):
+        if self.proc.is_alive():
+            self.proc.terminate()
+        self.proc.join()
+        os.close(self.ready)
+        os.close(self.free)
+
+
+def _produce(plan, b, windows, slots, ready, free, parent_ends):
+    """Producer body: draws the block's rows window by window and writes
+    window k into slot k mod _FEED_SLOTS once the consumer has freed it;
+    stops early when the consumer closes the free pipe."""
+    for fd in parent_ends:
+        os.close(fd)
+    for k, rows in enumerate(_fine_rows(plan, b, windows)):
+        if k >= _FEED_SLOTS and not os.read(free, 1):
+            return
+        slots[k % _FEED_SLOTS][:rows.shape[0]] = rows
+        os.write(ready, b"r")
 
 
 class _BlockRun:

@@ -90,13 +90,53 @@ def _whole_multiple(span, step):
     return k
 
 
+def _chunk_generator(master_seed, block, chunk):
+    """The counter-based generator that owns one (block, chunk)."""
+    key = np.array([master_seed & _MASK64, ((block << 32) | chunk) & _MASK64],
+                   dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
 def _chunk_normals(master_seed, block, chunk, d, rows=CHUNK_STEPS):
     """Leading rows of one (block, chunk) of standard normals, shape
     (rows, BLOCK_PATHS, d); equal to the first rows of the whole chunk."""
-    key = np.array([master_seed & _MASK64, ((block << 32) | chunk) & _MASK64],
-                   dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
+    gen = _chunk_generator(master_seed, block, chunk)
     return gen.standard_normal((rows, BLOCK_PATHS, d))
+
+
+def _windows(end, rows):
+    """(s, e) windows over fine steps 0..end-1: each ends rows steps after
+    its start, at the end of its chunk or at end, whichever comes first."""
+    out = []
+    s = 0
+    while s < end:
+        e = min(s + rows, (s // CHUNK_STEPS + 1) * CHUNK_STEPS, end)
+        out.append((s, e))
+        s = e
+    return out
+
+
+def _fine_rows(plan, block_index, windows):
+    """Scaled fine increments of one path block, one (e - s, block_size, d)
+    slab per window (s, e) of consecutive _windows.
+
+    Each chunk is drawn from one generator, slab after slab (steps of the
+    chunk before the first window are drawn and dropped), so every slab
+    equals the same rows of fine_increments_block bit for bit.
+    """
+    size = plan.block_size(block_index)
+    scale = math.sqrt(plan.fine_delta)
+    chunk = pos = None
+    for s, e in windows:
+        if s // CHUNK_STEPS != chunk:
+            chunk = s // CHUNK_STEPS
+            gen = _chunk_generator(plan.master_seed, block_index, chunk)
+            pos = chunk * CHUNK_STEPS
+        if s > pos:
+            gen.standard_normal((s - pos, BLOCK_PATHS, plan.d))
+        z = gen.standard_normal((e - s, BLOCK_PATHS, plan.d))
+        pos = e
+        yield scale * z[:, :size]
 
 
 def _coarsen(fine, m):

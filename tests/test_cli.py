@@ -271,6 +271,13 @@ def test_bad_scheme_or_reference_is_a_config_error(tmp_path, capsys, command,
     ("simulate", {"run.horizon": 0.6, "run.record_dt": 0.25}, "run.horizon"),
     ("ses", {"ses.horizon": 0.6}, "ses.horizon"),
     ("fig1", {"fig1.horizon": 0.27}, "fig1.horizon"),
+    ("weak-error", {"reference.delta": 0.003}, "reference.delta"),
+    ("weak-error", {"reference.delta": 0.02}, "reference.delta"),
+    ("order", {"order.deltas": [0.2, 0.1, 0.05], "run.horizon": 0.4,
+               "reference.delta": 0.003}, "reference.delta"),
+    ("order", {"order.deltas": [0.2, 0.1, 0.05], "run.horizon": 0.4,
+               "reference.delta": 0.02}, "reference.delta"),
+    ("order", {"order.deltas": [0.2, 0.1, 0.05]}, "run.horizon"),
 ])
 def test_off_grid_record_dt_or_horizon_is_a_config_error(tmp_path, capsys,
                                                          command, settings,
@@ -289,9 +296,9 @@ def test_moments_runs_its_ensemble_once(tmp_path, monkeypatch):
     calls = []
     simulate = engine._simulate
 
-    def counting(runs, threads):
+    def counting(runs):
         calls.append(len(runs))
-        return simulate(runs, threads)
+        return simulate(runs)
 
     monkeypatch.setattr(engine, "_simulate", counting)
     cfg = _write(tmp_path, "mo.cfg",
@@ -332,3 +339,41 @@ def test_unknown_subcommand():
 def test_seed_must_be_nonnegative(tmp_path, capsys):
     rc = main(["simulate", "--seed", "-1", "--out", str(tmp_path / "o")])
     assert rc == 2
+
+
+def _strict_json(path):
+    def reject(name):
+        raise ValueError("%s is not JSON" % name)
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+@pytest.mark.parametrize("command,name", [("simulate", "run.json"),
+                                          ("moments", "moments.json")])
+def test_single_survivor_flags_undefined_stderr(tmp_path, command, name):
+    # explicit Euler from 3 blows up 3 of the 4 paths at seed 2; one
+    # survivor has no standard error, which the JSON must say, not print nan
+    cfg = _write(tmp_path, "one.cfg",
+                 "problem.name = fig1\nscheme.kind = em\nscheme.delta = 0.2\n"
+                 "run.record_dt = 0.2\nrun.x0 = 3.0\nrun.n_paths = 4\n"
+                 "run.horizon = 2.0\n")
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--seed", "2",
+                 "--out", str(out)]) == 0
+    doc = _strict_json(out / name)
+    assert doc["n_blowups"] == 3
+    rows = _read_csv(out / "moments_p2.csv")[2]
+    alone = [float(r[0]) for r in rows if int(r[3]) < 2]
+    assert alone and alone[-1] == 2.0
+    assert doc["stderr_undefined_at"] == alone
+    if command == "simulate":
+        assert doc["final"]["stderr"] is None
+
+
+def test_defined_stderr_writes_no_flag(tmp_path):
+    cfg = _write(tmp_path, "ok.cfg", "problem.name = fig1\nrun.n_paths = 16\n"
+                 "run.horizon = 0.5\n")
+    for command, name in [("simulate", "run.json"), ("moments", "moments.json")]:
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        doc = _strict_json(out / name)
+        assert "stderr_undefined_at" not in doc

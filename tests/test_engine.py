@@ -1,6 +1,9 @@
 """Tests for the Monte Carlo ensemble engine."""
+import dataclasses
 import math
 import multiprocessing
+import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -316,3 +319,163 @@ def test_freezing_mid_block_matches_per_path_loop(kind, x0, log_margin,
     assert np.all(np.isnan(mean[~live]))
     err = np.abs(mean[live] - total[live] / n_active[live])
     assert np.all(err <= 1e-12 * scale[live] / n_active[live])
+
+
+
+class _CountingFeed(engine._Feed):
+    made = 0
+
+    def __init__(self, *args):
+        type(self).made += 1
+        super().__init__(*args)
+
+
+def _fed():
+    """Patches under which a single-block pass at threads >= 2 is fed,
+    whatever the host's core count, and counts the producers started."""
+    return (mock.patch.object(engine, "_usable_cores", return_value=2),
+            mock.patch.object(engine, "_Feed", _CountingFeed))
+
+
+def _coupled_pass(problem, runs, fine_delta, n_fine, seed, threads):
+    """One coupled pass of (kind, factor, x0, n_paths, threshold) runs on a
+    lattice of n_fine fine steps: the results, or the partial result of the
+    first run whose paths all blew up."""
+    horizon = n_fine * fine_delta
+    args = []
+    for kind, factor, x0, n_paths, threshold in runs:
+        plan = m.NoisePlan(seed, n_paths, problem.dim_noise,
+                           fine_delta=fine_delta, horizon=horizon,
+                           coarsen_factor=factor)
+        spec = m.EnsembleSpec(x0, n_paths, horizon, seed=seed,
+                              threads=threads, blowup_threshold=threshold)
+        args.append((m.SchemeConfig(kind, factor * fine_delta), spec,
+                     [m.make_observable("identity")], plan))
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return m.simulate_ensemble(problem, *args[0], coupled=args[1:])
+    except m.AllPathsBlewUp as exc:
+        return [exc.result]
+
+
+@settings(max_examples=8, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(d=st.sampled_from([1, 2]),
+       factors=st.lists(st.integers(1, 13), min_size=1, max_size=3,
+                        unique=True),
+       min_steps=st.integers(1025, 2600),
+       case=st.sampled_from(["calm", "freeze", "blowup"]),
+       seed=st.integers(0, 2**32 - 1))
+@example(d=1, factors=[13, 1, 4], min_steps=1025, case="blowup", seed=0)
+@example(d=2, factors=[7, 2], min_steps=2000, case="freeze", seed=3)
+def test_fed_single_block_pass_equals_one_worker(d, factors, min_steps, case,
+                                                 seed):
+    # a fed pass steps 64-row windows drawn by a producer process; every run
+    # of a coupled pass (coarsening factors 1..13, frozen paths, or every
+    # path blown up so the consumer stops reading early) must get the bits
+    # of threads=1
+    problem = FIG1 if d == 1 else m.make_coupled_2d(1.0, 1.0)
+    lcm = math.lcm(*factors)
+    n_fine = lcm * -(-min_steps // lcm)   # past the first chunk
+    x0 = np.full(d, {"blowup": 100.0, "freeze": 0.1}.get(case, 0.8))
+    # about a quarter of the paths leave these balls within 5 time units
+    threshold = (1.4 if d == 1 else 0.3) if case == "freeze" else 1e12
+    runs = [("em" if case == "blowup" else "tte", f, x0, 40 + 97 * i,
+             threshold) for i, f in enumerate(factors)]
+    one = _coupled_pass(problem, runs, 0.005, n_fine, seed, 1)
+    patch_cores, patch_feed = _fed()
+    with patch_cores, patch_feed:
+        made = _CountingFeed.made
+        two = _coupled_pass(problem, runs, 0.005, n_fine, seed, 2)
+        assert _CountingFeed.made == made + 1
+    assert not multiprocessing.active_children()
+    assert len(one) == len(two)
+    if case == "blowup":
+        assert len(one) == 1 and one[0].n_active[-1] == 0
+    if case == "freeze":
+        assert any(0 < r.n_blowups < r.n_paths for r in one)
+    for a, b in zip(one, two):
+        _assert_results_equal(a, b)
+
+
+def _long_spec(threads):
+    # one block, 2000 fine steps: 32 fed windows across two chunks
+    return m.EnsembleSpec(1.0, 300, 2000 * 0.005, seed=4, threads=threads)
+
+
+_SMALL_TTE = m.SchemeConfig("tte", 0.005, alpha=1.3)
+
+
+def test_fed_pass_error_matches_one_worker(monkeypatch):
+    # a stepper that fails mid-pass, in a window the producer drew, gives
+    # threads=1's error; the producer is stopped and reaped
+    make_stepper = engine.make_stepper
+
+    def failing_stepper(problem, scheme):
+        step = make_stepper(problem, scheme)
+        calls = [0]
+
+        def stepper(x, dw):
+            calls[0] += 1
+            if calls[0] == 1500:
+                raise m.NonConvergence(float(calls[0]), 7)
+            return step(x, dw)
+        return stepper
+
+    monkeypatch.setattr(engine, "make_stepper", failing_stepper)
+    errors = []
+    patch_cores, patch_feed = _fed()
+    with patch_cores, patch_feed:
+        for t in (1, 2):
+            with pytest.raises(m.NonConvergence) as exc:
+                m.simulate_ensemble(FIG1, _SMALL_TTE, _long_spec(t))
+            errors.append((type(exc.value), str(exc.value), exc.value.index))
+            assert not multiprocessing.active_children()
+    assert errors[1] == errors[0]
+
+
+def _dying_rows(after):
+    rows = engine._fine_rows
+
+    def dying(*args):
+        for k, slab in enumerate(rows(*args)):
+            if k == after:
+                os._exit(3)
+            yield slab
+    return dying
+
+
+@pytest.mark.parametrize("after", [0, 5])
+def test_dead_producer_raises(monkeypatch, after):
+    # the producer exits with code 3 after `after` windows; the pass must
+    # raise instead of waiting for rows that never come
+    monkeypatch.setattr(engine, "_fine_rows", _dying_rows(after))
+    patch_cores, patch_feed = _fed()
+    with patch_cores, patch_feed:
+        with pytest.raises(RuntimeError, match="exited with code 3"):
+            m.simulate_ensemble(FIG1, _SMALL_TTE, _long_spec(2))
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.parametrize("threads,n_paths,fed", [
+    (1, 300, False), (2, 300, True), (2, 2 * BLOCK_PATHS, False)])
+def test_only_passes_with_idle_workers_are_fed(threads, n_paths, fed):
+    patch_cores, patch_feed = _fed()
+    with patch_cores, patch_feed:
+        made = _CountingFeed.made
+        m.simulate_ensemble(FIG1, TTE, m.EnsembleSpec(
+            1.0, n_paths, 200 * TTE.delta, seed=1, threads=threads))
+        assert (_CountingFeed.made > made) == fed
+    assert not multiprocessing.active_children()
+
+
+def test_fed_blocks_on_block_workers_equal_one_worker():
+    # two blocks on four workers: each block worker forks its own producer
+    obs = [m.make_observable("identity")]
+    spec = m.EnsembleSpec(1.0, BLOCK_PATHS + 1, 150 * 0.005, seed=9)
+    one = m.simulate_ensemble(FIG1, _SMALL_TTE, spec, obs)
+    with mock.patch.object(engine, "_usable_cores", return_value=4):
+        four = m.simulate_ensemble(FIG1, _SMALL_TTE,
+                                   dataclasses.replace(spec, threads=4), obs)
+    assert not multiprocessing.active_children()
+    _assert_results_equal(one, four)

@@ -3,6 +3,9 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import brentq
 
 import monosde as m
@@ -44,6 +47,26 @@ def test_map_is_nonexpansive():
     fy = m.solve_fdelta(CUBIC, y, 0.1)
     gap = np.linalg.norm(fx - fy, axis=-1) ** 2 - np.linalg.norm(x - y, axis=-1) ** 2
     assert np.max(gap) <= 1e-8
+
+
+_STATES = arrays(float, (6, 2), elements=st.floats(-1e3, 1e3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(two_d=st.booleans(), delta=st.floats(1e-4, 1.0), x=_STATES, y=_STATES)
+def test_solve_meets_residual_bound_and_does_not_expand(two_d, delta, x, y):
+    # both drifts are monotone (c0 = 0), so F_delta is non-expansive; each
+    # solve is off by at most its residual tolerance
+    problem = m.make_coupled_2d(1.0, 1.0) if two_d else CUBIC
+    n = problem.dim_state
+    x, y = x[:, :n], y[:, :n]
+    fx = m.solve_fdelta(problem, x, delta)
+    fy = m.solve_fdelta(problem, y, delta)
+    tol_x = 1e-12 * np.maximum(1.0, _norm(x))
+    tol_y = 1e-12 * np.maximum(1.0, _norm(y))
+    assert np.all(_norm(fx - x - delta * problem.drift(fx)) <= tol_x)
+    assert np.all(_norm(fy - y - delta * problem.drift(fy)) <= tol_y)
+    assert np.all(_norm(fx - fy) <= _norm(x - y) + 2.0 * (tol_x + tol_y))
 
 
 def test_map_growth_bound():

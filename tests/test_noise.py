@@ -1,12 +1,13 @@
 """Tests for the counter-based Brownian increment generator."""
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
 import monosde as m
-from monosde.noise import _whole_multiple
+from monosde.noise import (CHUNK_STEPS, _fine_rows, _whole_multiple,
+                           _windows, fine_increments_block)
 
 
 def _stack_paths(plan, n, level="fine"):
@@ -111,3 +112,24 @@ def test_whole_multiple(step, k, frac):
     assert _whole_multiple(k * step, step) == k
     assert _whole_multiple((k + 0.5) * step, step) is None
     assert _whole_multiple(frac * step, step) is None
+
+
+@settings(max_examples=10, deadline=None)
+@given(d=st.integers(1, 2), n_paths=st.integers(1, 300),
+       end=st.integers(1, 2600), rows=st.integers(1, 700),
+       first=st.integers(0, 5))
+def test_fine_rows_slabs_equal_one_read(d, n_paths, end, rows, first):
+    # slabs drawn one after the other from a chunk's generator, from any
+    # window on, are the rows of one whole read, bit for bit
+    plan = m.NoisePlan(3, n_paths, d, fine_delta=0.01, horizon=26.0)
+    windows = _windows(end, rows)
+    assert [s for s, _ in windows] == [0] + [e for _, e in windows[:-1]]
+    assert windows[-1][1] == end
+    for s, e in windows:
+        assert 0 < e - s <= rows and s // CHUNK_STEPS == (e - 1) // CHUNK_STEPS
+    windows = windows[min(first, len(windows) - 1):]
+    slabs = list(_fine_rows(plan, 0, windows))
+    assert [z.shape for z in slabs] == [(e - s, n_paths, d) for s, e in windows]
+    start = windows[0][0]
+    whole = fine_increments_block(plan, 0, start, end - start)
+    np.testing.assert_array_equal(np.concatenate(slabs), whole)

@@ -1,6 +1,10 @@
 """Tests for the five one-step maps and the alpha selection rule."""
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import monosde as m
 
@@ -121,3 +125,13 @@ def test_vector_state_steps():
     x = np.array([[0.3, -0.7], [1.0, 1.0]])
     out = stepper(x, np.zeros((2, 2)))
     np.testing.assert_allclose(out, x + 0.01 * p.drift(x))
+
+
+@given(b0=st.floats(1e-3, 1e3), c0=st.floats(0.0, 1e4),
+       delta=st.floats(1e-6, 10.0))
+def test_selected_alpha_never_expands(b0, c0, delta):
+    constants = dataclasses.replace(FIG1.constants, tamed_b0=b0, growth_c0=c0)
+    alpha, eps_fn = m.select_alpha(constants)
+    assert alpha > 0
+    assert eps_fn(delta) == m.epsilon_delta(constants, alpha, delta)
+    assert eps_fn(delta) <= 1.0
