@@ -318,13 +318,14 @@ def cmd_order(ctx):
 
     reference = _reference_from_cfg(cfg, min(deltas) / 8.0,
                                     max(n_paths, 10000))
+    if exact:
+        reference = None
     for delta in deltas:
-        _require_grid(horizon, None, delta, ("run.horizon", None,
-                                             "order.deltas"),
-                      None if exact else reference)
+        _require_grid(horizon, None, delta,
+                      ("run.horizon", None, "order.deltas"), reference)
     rep = convergence_order(problem, scheme.kind, deltas, obs, x0, horizon,
                             n_paths, seed=ctx.seed, record_dt=record_dt,
-                            reference=None if exact else reference,
+                            reference=reference,
                             exact_mean=exact, alpha=scheme.alpha,
                             threads=ctx.threads)
     meta = ctx.meta([("problem", problem.name), ("scheme", scheme.kind)])
