@@ -8,7 +8,7 @@ fits, moment audits, an exponential-stability probe, and a numeric checker
 for the structural drift/diffusion conditions.
 """
 
-__version__ = "0.1.3"
+__version__ = "0.2.0"
 
 from .analysis import (AssumptionReport, OrderReport, ProfileReport,
                        ReferenceConfig, SesProbeReport, WeakErrorReport,

@@ -54,12 +54,20 @@ def parse_config_text(text):
 
 
 def _flatten(obj, prefix, out):
+    """Flatten nested objects into dotted keys, rejecting every key that
+    serialize_config could not write as its own 'key = value' line."""
     for k, v in obj.items():
         key = "%s.%s" % (prefix, k) if prefix else str(k)
         if isinstance(v, dict):
             _flatten(v, key, out)
-        else:
-            out[key] = v
+            continue
+        if (key.splitlines() != [key] or key != key.strip() or "=" in key
+                or key.startswith("#")):
+            raise ConfigError("config key %r: a key must be one line without "
+                              "'=', a leading '#' or surrounding spaces" % key)
+        if key in out:
+            raise ConfigError("duplicate config key %r" % key)
+        out[key] = v
     return out
 
 

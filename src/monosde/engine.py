@@ -1,9 +1,11 @@
 """Ensemble simulation with deterministic parallel reduction.
 
-Paths are partitioned into the same fixed blocks the noise generator uses.
-Each block accumulates its own partial sums, and partials are always combined
-in ascending block order, so results are bitwise identical for any worker
-count.
+Paths are partitioned into the fixed blocks of noise.BLOCK_PATHS paths.
+Blocks are the unit of reduction: each block accumulates its own partial
+sums, and partials are always combined in ascending block order, so results
+are bitwise identical for any worker count. Keys of noise.KEY_PATHS paths
+are the unit of noise; a block read draws only the keys of its columns, and
+no code here depends on how keys are laid out.
 
 Blocks of a pass are mapped over W = min(threads, blocks, usable cores)
 workers: worker w runs blocks w, w + W, ... in ascending order. Worker 0 is

@@ -1,18 +1,29 @@
 """Deterministic Brownian increment generation.
 
 Increments are a pure function of (master_seed, path_index, fine step index,
-component). Paths are grouped into blocks of BLOCK_PATHS and steps into
-chunks of CHUNK_STEPS; each (block, chunk) pair owns a counter-based
-generator keyed by (master_seed, block << 32 | chunk), so the increments a
-path sees never depend on n_paths, the horizon, the coarsening factor, or
-how many threads consume them. That is what makes common-random-number
-coupling across step sizes work: a run at delta = m * fine_delta sees
-exactly the sums of the fine increments of the reference run.
+component). Two groupings of paths are kept apart:
 
-A read draws only the leading rows of a chunk that it needs; the generator
+- A key is KEY_PATHS consecutive paths; path p reads key p // KEY_PATHS.
+  Steps are grouped into chunks of CHUNK_STEPS, and each (key, chunk) pair
+  owns a counter-based Philox generator keyed by
+  (master_seed, key << 32 | chunk) (Salmon et al., "Parallel random numbers:
+  as easy as 1, 2, 3", SC'11). Keys are the unit of noise: a read draws
+  only the keys its columns need.
+- A block is BLOCK_PATHS consecutive paths, a whole number of keys. Blocks
+  are the unit of reads and of the engine's reduction.
+
+So the increments a path sees never depend on n_paths, the horizon, the
+coarsening factor, or how many workers consume them. That is what makes
+common-random-number coupling across step sizes work: a run at
+delta = m * fine_delta sees exactly the sums of the fine increments of the
+reference run.
+
+A read draws only the leading rows of a chunk that it needs; a generator
 fills rows in order, so those rows equal the same rows of a whole-chunk
-draw bit for bit. The engine reads each fine row of a block at most once
-per pass, and coupled runs on one lattice share that read.
+draw bit for bit. Each key's rows are scaled straight into the read's one
+(rows, width, d) array, so no full-width temporary exists. The engine reads
+each fine row of a block at most once per pass, and coupled runs on one
+lattice share that read.
 
 Coarse increments are always formed by _coarsen (in-order sequential
 addition of the m fine rows), never by np.sum, so the result is bitwise
@@ -20,11 +31,12 @@ identical no matter the array layout of the caller.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 BLOCK_PATHS = 4096
+KEY_PATHS = 256
 CHUNK_STEPS = 1024
 _MASK64 = (1 << 64) - 1
 
@@ -90,18 +102,37 @@ def _whole_multiple(span, step):
     return k
 
 
-def _chunk_generator(master_seed, block, chunk):
-    """The counter-based generator that owns one (block, chunk)."""
-    key = np.array([master_seed & _MASK64, ((block << 32) | chunk) & _MASK64],
-                   dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _chunk_generator(master_seed, key, chunk):
+    """The counter-based generator that owns one (key, chunk)."""
+    seed = np.array([master_seed & _MASK64, ((key << 32) | chunk) & _MASK64],
+                    dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=seed))
 
 
-def _chunk_normals(master_seed, block, chunk, d, rows=CHUNK_STEPS):
-    """Leading rows of one (block, chunk) of standard normals, shape
-    (rows, BLOCK_PATHS, d); equal to the first rows of the whole chunk."""
-    gen = _chunk_generator(master_seed, block, chunk)
-    return gen.standard_normal((rows, BLOCK_PATHS, d))
+def _chunk_normals(gen, rows, d):
+    """The next rows of one key's chunk from its generator: standard
+    normals of shape (rows, KEY_PATHS, d)."""
+    return gen.standard_normal((rows, KEY_PATHS, d))
+
+
+def _key_columns(plan, block_index):
+    """(key, lo, hi) for each key that block_index holds: block columns
+    lo..hi-1 are the leading hi - lo paths of that key."""
+    size = plan.block_size(block_index)
+    first = block_index * (BLOCK_PATHS // KEY_PATHS)
+    return [(first + k, lo, min(lo + KEY_PATHS, size))
+            for k, lo in enumerate(range(0, size, KEY_PATHS))]
+
+
+def _fill(out, gens, columns, skip, scale):
+    """Scale the next out.shape[0] rows of each key's generator, after
+    drawing and dropping skip rows, into out's columns of that key."""
+    rows, _, d = out.shape
+    for gen, (_, lo, hi) in zip(gens, columns):
+        if skip:
+            _chunk_normals(gen, skip, d)
+        z = _chunk_normals(gen, rows, d)
+        np.multiply(z[:, :hi - lo], scale, out=out[:, lo:hi])
 
 
 def _windows(end, rows):
@@ -120,23 +151,24 @@ def _fine_rows(plan, block_index, windows):
     """Scaled fine increments of one path block, one (e - s, block_size, d)
     slab per window (s, e) of consecutive _windows.
 
-    Each chunk is drawn from one generator, slab after slab (steps of the
-    chunk before the first window are drawn and dropped), so every slab
-    equals the same rows of fine_increments_block bit for bit.
+    Each chunk's keys are drawn from one generator each, slab after slab
+    (steps of the chunk before the first window are drawn and dropped), so
+    every slab equals the same rows of fine_increments_block bit for bit.
     """
+    columns = _key_columns(plan, block_index)
     size = plan.block_size(block_index)
     scale = math.sqrt(plan.fine_delta)
     chunk = pos = None
     for s, e in windows:
         if s // CHUNK_STEPS != chunk:
             chunk = s // CHUNK_STEPS
-            gen = _chunk_generator(plan.master_seed, block_index, chunk)
+            gens = [_chunk_generator(plan.master_seed, key, chunk)
+                    for key, _, _ in columns]
             pos = chunk * CHUNK_STEPS
-        if s > pos:
-            gen.standard_normal((s - pos, BLOCK_PATHS, plan.d))
-        z = gen.standard_normal((e - s, BLOCK_PATHS, plan.d))
+        out = np.empty((e - s, size, plan.d))
+        _fill(out, gens, columns, s - pos, scale)
         pos = e
-        yield scale * z[:, :size]
+        yield out
 
 
 def _coarsen(fine, m):
@@ -165,24 +197,19 @@ def fine_increments_block(plan, block_index, step_start, n_steps):
         raise IndexError("block_index out of range")
     if step_start < 0 or step_start + n_steps > plan.n_fine_steps:
         raise IndexError("fine step range out of range")
-    size = plan.block_size(block_index)
-    rows = []
+    columns = _key_columns(plan, block_index)
+    scale = math.sqrt(plan.fine_delta)
+    out = np.empty((n_steps, plan.block_size(block_index), plan.d))
     s = step_start
     end = step_start + n_steps
     while s < end:
         chunk = s // CHUNK_STEPS
-        lo = s % CHUNK_STEPS
-        take = min(CHUNK_STEPS - lo, end - s)
-        z = _chunk_normals(plan.master_seed, block_index, chunk, plan.d, lo + take)
-        rows.append(z[lo:, :size])
+        take = min((chunk + 1) * CHUNK_STEPS, end) - s
+        gens = [_chunk_generator(plan.master_seed, key, chunk)
+                for key, _, _ in columns]
+        _fill(out[s - step_start:s - step_start + take], gens, columns,
+              s % CHUNK_STEPS, scale)
         s += take
-    scale = math.sqrt(plan.fine_delta)
-    if len(rows) == 1 and size < BLOCK_PATHS:
-        # a compact copy of the narrow columns frees the full-width draw
-        return scale * rows[0]
-    # a concatenation or a full-width draw is this read's own array
-    out = rows[0] if len(rows) == 1 else np.concatenate(rows, axis=0)
-    out *= scale
     return out
 
 
@@ -205,11 +232,14 @@ def increments_for(plan, path_index, level="fine"):
         raise ValueError('level must be "fine" or "coarse"')
     if path_index < 0 or path_index >= plan.n_paths:
         raise IndexError("path_index out of range")
-    # a plan that ends at this path reads only the block columns up to it
-    upto = replace(plan, n_paths=path_index + 1)
-    block = fine_increments_block(upto, path_index // BLOCK_PATHS, 0,
-                                  plan.n_fine_steps)
-    fine = block[:, path_index % BLOCK_PATHS, :].copy()
+    key, col = divmod(path_index, KEY_PATHS)
+    scale = math.sqrt(plan.fine_delta)
+    n = plan.n_fine_steps
+    fine = np.empty((n, plan.d))
+    for s in range(0, n, CHUNK_STEPS):
+        gen = _chunk_generator(plan.master_seed, key, s // CHUNK_STEPS)
+        z = _chunk_normals(gen, min(CHUNK_STEPS, n - s), plan.d)
+        np.multiply(z[:, col], scale, out=fine[s:s + CHUNK_STEPS])
     if level == "fine":
         return fine
     return _coarsen(fine, plan.coarsen_factor)

@@ -1,10 +1,14 @@
 """Tests for config parsing, serialization, and hashing."""
 import json
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from monosde.config import (ConfigError, config_hash, get_value, load_config,
-                            parse_config_text, require_positive,
+from monosde.cli import main
+from monosde.config import (ConfigError, _flatten, config_hash, get_value,
+                            load_config, parse_config_text, require_positive,
                             serialize_config)
 
 
@@ -82,3 +86,50 @@ def test_require_positive():
     require_positive({"k": 1}, "k", 1.0)
     with pytest.raises(ConfigError, match="'k'"):
         require_positive({"k": -1}, "k", -1.0)
+
+
+@pytest.mark.parametrize("obj", [
+    {"a=b": 1}, {"#a": 1}, {" a": 1}, {"a ": 1}, {"": 1}, {"a = 1\nb": 2},
+    {"a\rb": 1}, {"a\u2028b": 1}, {"run": {"x=y": 1}},
+    {"a": {"b": 1}, "a.b": 2}])
+def test_json_keys_that_cannot_round_trip_are_rejected(tmp_path, capsys, obj):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ConfigError, match=re.escape(repr(_last_key(obj)))):
+        load_config(path)
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def _last_key(obj, prefix=""):
+    k, v = list(obj.items())[-1]
+    key = "%s.%s" % (prefix, k) if prefix else k
+    return _last_key(v, key) if isinstance(v, dict) else key
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3), max_leaves=6)
+
+
+@settings(max_examples=200)
+@given(cfg=st.dictionaries(st.text(), _json_values, max_size=6))
+def test_flattened_configs_round_trip(cfg):
+    # every key _flatten accepts survives the text format, and so does its
+    # value; a key it rejects is one the text format would change
+    try:
+        flat = _flatten(cfg, "", {})
+    except ConfigError:
+        return
+    assert flat == cfg
+    assert parse_config_text(serialize_config(flat)) == flat
+
+
+@given(cfg=st.dictionaries(
+    st.from_regex(r"[a-z_][a-z0-9_]*(\.[a-z0-9_]+){0,2}", fullmatch=True),
+    _json_values, min_size=1, max_size=6))
+def test_dotted_configs_round_trip(cfg):
+    assert _flatten(cfg, "", {}) == cfg
+    assert parse_config_text(serialize_config(cfg)) == cfg

@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import monosde as m
-from monosde.noise import (CHUNK_STEPS, _fine_rows, _whole_multiple,
-                           _windows, fine_increments_block)
+from monosde import noise
+from monosde.noise import (CHUNK_STEPS, KEY_PATHS, _fine_rows,
+                           _whole_multiple, _windows, fine_increments_block)
 
 
 def _stack_paths(plan, n, level="fine"):
@@ -133,3 +134,66 @@ def test_fine_rows_slabs_equal_one_read(d, n_paths, end, rows, first):
     start = windows[0][0]
     whole = fine_increments_block(plan, 0, start, end - start)
     np.testing.assert_array_equal(np.concatenate(slabs), whole)
+
+
+def test_path_reads_equal_block_columns_across_keys():
+    # keys are 256 paths wide and blocks 4096; both boundaries, both sides
+    plan = m.NoisePlan(4, 4353, 1, fine_delta=0.01, horizon=10.3)
+    blocks = [fine_increments_block(plan, b, 0, plan.n_fine_steps)
+              for b in range(plan.n_blocks)]
+    for i in (255, 256, 257, 4095, 4096, 4351, 4352):
+        np.testing.assert_array_equal(m.increments_for(plan, i),
+                                      blocks[i // 4096][:, i % 4096])
+
+
+def test_path_across_key_boundary_regardless_of_ensemble_size():
+    small = m.NoisePlan(9, 257, 2, fine_delta=0.01, horizon=1.0)
+    large = m.NoisePlan(9, 5000, 2, fine_delta=0.01, horizon=1.0)
+    np.testing.assert_array_equal(m.increments_for(small, 256),
+                                  m.increments_for(large, 256))
+
+
+def test_paths_on_adjacent_keys_are_independent():
+    plan = m.NoisePlan(5, 300, 1, fine_delta=0.001, horizon=4.0)
+    a = m.increments_for(plan, 255)[:, 0]
+    b = m.increments_for(plan, 256)[:, 0]
+    assert abs(np.corrcoef(a, b)[0, 1]) < 3.0 / np.sqrt(a.size)
+
+
+@settings(max_examples=10, deadline=None)
+@given(d=st.integers(1, 2), n_paths=st.integers(250, 1100),
+       end=st.integers(1, 2100), rows=st.integers(1, 700),
+       first=st.integers(0, 5))
+def test_fine_rows_slabs_equal_one_read_across_keys(d, n_paths, end, rows,
+                                                    first):
+    # as test_fine_rows_slabs_equal_one_read, with windows over several keys
+    plan = m.NoisePlan(3, n_paths, d, fine_delta=0.01, horizon=21.0)
+    windows = _windows(end, rows)
+    windows = windows[min(first, len(windows) - 1):]
+    slabs = list(_fine_rows(plan, 0, windows))
+    assert [z.shape for z in slabs] == [(e - s, n_paths, d) for s, e in windows]
+    start = windows[0][0]
+    whole = fine_increments_block(plan, 0, start, end - start)
+    np.testing.assert_array_equal(np.concatenate(slabs), whole)
+
+
+@pytest.mark.parametrize("width", [1, 255, 256, 257, 1000, 4096])
+def test_a_read_draws_only_the_keys_it_needs(monkeypatch, width):
+    drawn = []
+    draw = noise._chunk_normals
+
+    def counted(gen, rows, d):
+        z = draw(gen, rows, d)
+        drawn.append(z.size)
+        return z
+
+    monkeypatch.setattr(noise, "_chunk_normals", counted)
+    d, rows = 2, 40
+    # block 1 is width paths wide, on keys 16 and up
+    plan = m.NoisePlan(1, 4096 + width, d, fine_delta=0.01, horizon=1.0)
+    expected = -(-width // KEY_PATHS) * KEY_PATHS * rows * d
+    fine_increments_block(plan, 1, 0, rows)
+    assert sum(drawn) == expected
+    drawn.clear()
+    assert sum(z.shape[0] for z in _fine_rows(plan, 1, _windows(rows, 16))) == rows
+    assert sum(drawn) == expected
