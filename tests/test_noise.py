@@ -166,7 +166,8 @@ def test_paths_on_adjacent_keys_are_independent():
        first=st.integers(0, 5))
 def test_fine_rows_slabs_equal_one_read_across_keys(d, n_paths, end, rows,
                                                     first):
-    # as test_fine_rows_slabs_equal_one_read, with windows over several keys
+    # as test_fine_rows_slabs_equal_one_read, with windows over several
+    # keys; a read from inside a chunk is the tail of one from its start
     plan = m.NoisePlan(3, n_paths, d, fine_delta=0.01, horizon=21.0)
     windows = _windows(end, rows)
     windows = windows[min(first, len(windows) - 1):]
@@ -175,6 +176,9 @@ def test_fine_rows_slabs_equal_one_read_across_keys(d, n_paths, end, rows,
     start = windows[0][0]
     whole = fine_increments_block(plan, 0, start, end - start)
     np.testing.assert_array_equal(np.concatenate(slabs), whole)
+    head = start - start % CHUNK_STEPS
+    np.testing.assert_array_equal(
+        fine_increments_block(plan, 0, head, end - head)[start - head:], whole)
 
 
 @pytest.mark.parametrize("width", [1, 255, 256, 257, 1000, 4096])
