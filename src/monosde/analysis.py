@@ -427,18 +427,22 @@ def _fit_decay(times, values, stderrs):
 def _tangent_stepper(problem, delta):
     """Explicit Euler step of the joint state z = (x, vec J), J the first
     variation of x: J <- (I + delta grad U0 + ns sum_k grad V_k dB_k) J and
-    the EM step of x, both taken at the old x."""
+    the EM step of x, both taken at the old x. For an additive problem the
+    grad V_k vanish and their term is skipped."""
     n = problem.dim_state
     ns = problem.noise_scale
     eye = np.eye(n)
+    noise = problem.noise_fn()
+    additive = problem.additive
 
     def step(z, dB):
         x = z[:, :n]
-        amp = (eye + delta * problem.drift_jacobian(x)
-               + ns * np.einsum("...kij,...k->...ij",
-                                problem.diffusion_jacobians(x), dB))
+        amp = eye + delta * problem.drift_jacobian(x)
+        if not additive:
+            amp = amp + ns * np.einsum("...kij,...k->...ij",
+                                       problem.diffusion_jacobians(x), dB)
         jmat = np.einsum("...ij,...jk->...ik", amp, z[:, n:].reshape(-1, n, n))
-        x = x + delta * problem.drift(x) + problem.noise_term(x, dB)
+        x = x + delta * problem.drift(x) + noise(x, dB)
         return np.concatenate([x, jmat.reshape(-1, n * n)], axis=1)
 
     return step

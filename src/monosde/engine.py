@@ -346,7 +346,13 @@ def _mean_stderr(s, m2, counts):
 
 
 def _survivors(y, threshold):
-    """Rows of y whose norm is finite and at most threshold."""
+    """Rows of y whose norm is finite and at most threshold.
+
+    One component under a finite threshold takes a single comparison of its
+    abs: NaN and +-inf compare false, so no finiteness test is needed.
+    """
+    if y.shape[-1] == 1 and math.isfinite(threshold):
+        return np.abs(y[..., 0]) <= threshold
     with np.errstate(over="ignore", invalid="ignore"):
         r = _norm(y)
     return np.isfinite(r) & (r <= threshold)

@@ -83,6 +83,8 @@ def make_stepper(problem, config):
 
     For kind "em-modified" the modified fields are built once up front, so the
     returned closure prices one implicit solve per call like splitstep does.
+    The noise map is bound here too (SdeProblem.noise_fn), so an additive
+    problem's diffusion fields are evaluated once, not on every step.
     """
     kind = config.kind
     delta = config.delta
@@ -90,22 +92,22 @@ def make_stepper(problem, config):
     if kind == "em-modified":
         problem = make_modified_fields(problem, delta, solve)
         kind = "em"
+    noise = problem.noise_fn()
     if kind == "em":
         def step(x, dB):
-            return x + delta * problem.drift(x) + problem.noise_term(x, dB)
+            return x + delta * problem.drift(x) + noise(x, dB)
     elif kind == "splitstep":
         def step(x, dB):
             z = solve_fdelta(problem, x, delta, solve)
-            return z + problem.noise_term(z, dB)
+            return z + noise(z, dB)
     elif kind == "implicit":
         def step(x, dB):
-            return solve_fdelta(problem, x + problem.noise_term(x, dB), delta,
-                                solve)
+            return solve_fdelta(problem, x + noise(x, dB), delta, solve)
     elif kind == "tamed":
         def step(x, dB):
             u0 = problem.drift(x)
             denom = 1.0 + delta * _norm(u0)[..., None]
-            return x + delta * u0 / denom + problem.noise_term(x, dB)
+            return x + delta * u0 / denom + noise(x, dB)
     elif kind == "tte":
         alpha = config.alpha
         if alpha is None:
@@ -115,7 +117,7 @@ def make_stepper(problem, config):
         def step(x, dB):
             u0 = problem.drift(x)
             denom = 1.0 + delta * alpha * _norm(x)[..., None] ** q
-            return x + delta * u0 / denom + problem.noise_term(x, dB)
+            return x + delta * u0 / denom + noise(x, dB)
     else:
         raise ValueError("unknown scheme kind %r" % kind)
     return step

@@ -1,9 +1,11 @@
 """Tests for weak-error curves, order fits, the SES probe, and the checker."""
+import dataclasses
+
 import numpy as np
 import pytest
 
 import monosde as m
-from monosde.analysis import ReferenceConfig, _coupling_checksum
+from monosde.analysis import ReferenceConfig, _coupling_checksum, _tangent_stepper
 from monosde.noise import CHUNK_STEPS, fine_increments_block
 
 FIG1 = m.make_fig1()
@@ -277,3 +279,15 @@ def test_reference_config_defaults():
     assert ref.kind == "tamed"
     assert ref.delta == 5e-4
     assert ref.n_paths == 10000
+
+
+@pytest.mark.parametrize("problem", [FIG1, m.make_coupled_2d(1.0, 2.0)],
+                         ids=["fig1", "coupled2d"])
+def test_additive_tangent_step_equals_general_step(problem):
+    n = problem.dim_state
+    rng = np.random.default_rng(5)
+    z = rng.normal(scale=2.0, size=(257, n + n * n))
+    dB = rng.normal(scale=0.1, size=(257, problem.dim_noise))
+    general = dataclasses.replace(problem, additive=False)
+    np.testing.assert_array_equal(_tangent_stepper(problem, 0.01)(z, dB),
+                                  _tangent_stepper(general, 0.01)(z, dB))

@@ -1,11 +1,12 @@
 """End-to-end tests for the command line front end."""
+import collections
 import json
 import re
 
 import numpy as np
 import pytest
 
-from monosde import engine
+from monosde import cli, engine
 from monosde.cli import main
 
 
@@ -184,6 +185,35 @@ def test_weak_error_subcommand(tmp_path):
     doc = json.loads((out / "weak_error.json").read_text())
     assert doc["sup_error"] >= 0
     assert doc["coupled"] is True
+
+
+@pytest.mark.parametrize("command,text,hooks", [
+    ("weak-error", "scheme.kind = tte\nscheme.delta = 0.05\nrun.n_paths = 64\n"
+     "run.horizon = 1.0\nreference.delta = 0.005\nreference.n_paths = 64\n",
+     {"diffusion"}),
+    ("ses", "ses.n_paths = 64\nses.horizon = 1.0\nses.second = false\n",
+     {"diffusion", "diffusion_jacobians"}),
+])
+def test_problem_callbacks_are_called_through_the_cli(tmp_path, monkeypatch,
+                                                      command, text, hooks):
+    # a tracer that wraps the callbacks of the problem make_problem returns
+    # must see them called, however the noise map binds them
+    calls = collections.Counter()
+    make = cli.make_problem
+
+    def traced(name, **params):
+        problem = make(name, **params)
+        for attr in ("diffusion", "diffusion_jacobians"):
+            def wrapped(*args, _fn=getattr(problem, attr), _attr=attr):
+                calls[_attr] += 1
+                return _fn(*args)
+            setattr(problem, attr, wrapped)
+        return problem
+
+    monkeypatch.setattr(cli, "make_problem", traced)
+    cfg = _write(tmp_path, "run.cfg", "problem.name = fig1\n" + text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert hooks <= {attr for attr, k in calls.items() if k}
 
 
 def test_moments_subcommand_includes_audit(tmp_path):

@@ -117,6 +117,44 @@ def test_stderr_does_not_depend_on_a_constant_shift(n_paths):
     assert np.all((ratio >= 0.999) & (ratio <= 1.001))
 
 
+def _finite_norm_rule(y, threshold):
+    r = np.abs(y[:, 0])
+    return np.isfinite(r) & (r <= threshold)
+
+
+_TINY = np.nextafter(0.0, 1.0)
+_SUBNORMAL = np.finfo(float).tiny / 3.0
+
+
+@pytest.mark.parametrize("threshold", [1e12, 1.0, 1e300, _SUBNORMAL, 0.0])
+def test_one_component_guard_equals_finite_norm_rule(threshold):
+    above = np.nextafter(threshold, np.inf)
+    y = np.array([np.nan, -np.nan, np.inf, -np.inf, threshold, -threshold,
+                  above, -above, _TINY, -_TINY, _SUBNORMAL, -_SUBNORMAL,
+                  0.0, -0.0, 1.0, -1e300])[:, None]
+    with np.errstate(all="raise"):
+        got = engine._survivors(y, threshold)
+    np.testing.assert_array_equal(got, _finite_norm_rule(y, threshold))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=16),
+       st.floats(min_value=0.0, allow_nan=False, allow_infinity=False))
+def test_one_component_guard_property(values, threshold):
+    y = np.array(values)[:, None]
+    with np.errstate(all="raise"):
+        got = engine._survivors(y, threshold)
+    np.testing.assert_array_equal(got, _finite_norm_rule(y, threshold))
+
+
+def test_infinite_threshold_keeps_the_finite_norm_rule():
+    # |inf| <= inf holds, so an infinite threshold must not take the
+    # one-comparison path
+    y = np.array([np.inf, -np.inf, np.nan, 1e308, -_TINY])[:, None]
+    np.testing.assert_array_equal(engine._survivors(y, np.inf),
+                                  [False, False, False, True, True])
+
+
 def test_record_grid_from_record_dt():
     spec = m.EnsembleSpec(1.0, 16, 1.0, seed=0, record_dt=0.25)
     r = m.simulate_ensemble(FIG1, TTE, spec)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import monosde as m
 
@@ -144,6 +146,45 @@ def test_noise_term_contracts_over_noise_axis():
     v = p.diffusion(x)
     expect = p.noise_scale * (v[:, 0, :] + v[:, 1, :])
     np.testing.assert_allclose(p.noise_term(x, dB), expect)
+
+
+_SIGMA = st.floats(-3.0, 3.0, allow_nan=False)
+
+
+@st.composite
+def _additive_problems(draw):
+    name = draw(st.sampled_from(["fig1", "ou", "coupled2d"]))
+    if name == "ou":
+        return m.make_problem("ou", sigma=draw(_SIGMA),
+                              noise_scale=draw(st.floats(0.01, 3.0)))
+    if name == "coupled2d":
+        return m.make_problem("coupled2d", sigma1=(draw(_SIGMA), draw(_SIGMA)),
+                              sigma2=(draw(_SIGMA), draw(_SIGMA)))
+    return m.make_problem(name)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_additive_problems(), st.integers(1, 300), st.integers(0, 2**32 - 1))
+def test_bound_additive_noise_equals_noise_term(problem, n, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, problem.dim_state)) * 10.0 ** rng.uniform(-3, 3, (n, 1))
+    dB = rng.normal(size=(n, problem.dim_noise)) * 10.0 ** rng.uniform(-4, 1)
+    assert problem.additive
+    assert np.array_equal(problem.noise_fn()(x, dB), problem.noise_term(x, dB))
+
+
+def test_only_constant_field_problems_are_additive():
+    names = ("cubic1d", "coupled2d", "fig1", "ou")
+    assert [m.make_problem(n).additive for n in names] == [False, True, True, True]
+    p = m.make_cubic_1d(1.0, 0.3)
+    assert p.noise_fn() == p.noise_term
+
+
+@pytest.mark.parametrize("kind", m.KINDS)
+def test_additive_declaration_with_state_dependent_noise_is_rejected(kind):
+    p = dataclasses.replace(m.make_cubic_1d(1.0, 0.3), additive=True)
+    with pytest.raises(ValueError, match="'cubic1d.*declared additive"):
+        m.make_stepper(p, m.SchemeConfig(kind, 0.05))
 
 
 def test_constants_validation():

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import monosde as m
+from monosde import implicit_map
 
 FIG1 = m.make_fig1()
 
@@ -65,6 +66,25 @@ def test_em_modified_equals_splitstep_pathwise():
         x = a(x, dB)
         y = b(y, dB)
         np.testing.assert_allclose(y, x, atol=1e-10)
+
+
+@pytest.mark.parametrize("problem,solves", [(FIG1, 1),
+                                            (m.make_cubic_1d(1.0, 0.3), 2)],
+                         ids=["fig1", "cubic1d"])
+def test_em_modified_step_solve_count(monkeypatch, problem, solves):
+    # an additive problem's modified diffusion is constant, so only the
+    # drift needs F^delta; cubic1d also evaluates V o F^delta
+    step = m.make_stepper(problem, m.SchemeConfig("em-modified", 0.05))
+    calls = []
+    solve = implicit_map.solve_fdelta
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(implicit_map, "solve_fdelta", counted)
+    step(np.array([[0.7], [-1.3], [40.0]]), np.array([[0.2], [-0.1], [0.0]]))
+    assert len(calls) == solves
 
 
 def test_steppers_are_deterministic():
