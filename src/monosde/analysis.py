@@ -427,13 +427,14 @@ def _fit_decay(times, values, stderrs):
 def _tangent_stepper(problem, delta):
     """Explicit Euler step of the joint state z = (x, vec J), J the first
     variation of x: J <- (I + delta grad U0 + ns sum_k grad V_k dB_k) J and
-    the EM step of x, both taken at the old x. For an additive problem the
-    grad V_k vanish and their term is skipped."""
+    the EM step of x, both taken at the old x. With c1 = 0 (constant
+    diffusion, checked by noise_fn) the grad V_k vanish and their term is
+    skipped."""
     n = problem.dim_state
     ns = problem.noise_scale
     eye = np.eye(n)
     noise = problem.noise_fn()
-    additive = problem.additive
+    additive = problem.constants.c1 == 0
 
     def step(z, dB):
         x = z[:, :n]

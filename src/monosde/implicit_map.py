@@ -258,8 +258,9 @@ def make_modified_fields(problem, delta, config=None):
         config: ImplicitSolveConfig for the inner solves.
 
     Returns:
-        A new SdeProblem named "<base>-modified" with the same constants,
-        noise_scale and additive flag.
+        A new SdeProblem named "<base>-modified" with the same constants
+        and noise_scale (c1 = 0 carries over: V_k o F^delta is constant when
+        V_k is).
     """
     base = problem
     cfg = config if config is not None else ImplicitSolveConfig()
@@ -296,7 +297,6 @@ def make_modified_fields(problem, delta, config=None):
         diffusion_jacobians=diffusion_jacobians,
         constants=dataclasses.replace(base.constants),
         noise_scale=base.noise_scale,
-        additive=base.additive,  # V_k o F^delta is constant when V_k is
     )
     mod.fdelta = fdelta
     return mod

@@ -88,9 +88,6 @@ class SdeProblem:
     diffusion_hessians: Callable = None
     noise_scale: float = _SQRT2
     fd_derivatives: bool = False  # True when finite-difference fallbacks installed
-    # True when every V_k is constant in x; steppers then evaluate the
-    # diffusion fields once (see noise_fn) instead of on every step
-    additive: bool = False
     # extra named inequality callbacks, margin(x) >= 0 expected; used by the
     # assumption checker (e.g. the 2-D eigenvalue-negativity condition)
     extra_conditions: dict = field(default_factory=dict)
@@ -110,32 +107,35 @@ class SdeProblem:
     def noise_fn(self):
         """The map (x, dB) -> noise_term(x, dB) that a stepper binds once.
 
-        A problem that is not additive gets noise_term itself. An additive
-        one has its diffusion fields and their Jacobians evaluated here, once,
-        at one point; the returned map contracts dB with that constant
-        (d, N) matrix and gives noise_term's bits.
+        constants.c1 == 0 declares every V_k constant in x (additive noise).
+        Such a problem has its diffusion Jacobians evaluated here at
+        x = (1, ..., 1) and its diffusion fields there and at x = -2(1, ..., 1);
+        the Jacobians must vanish and the two field values agree. This spot
+        check catches a wrong c1 = 0 on most state-dependent fields but cannot
+        prove the fields constant. With one noise component the returned map
+        multiplies dB by that constant row, giving noise_term's bits; every
+        other problem gets noise_term itself.
 
         Raises:
-            ValueError: the problem is declared additive but its diffusion
-                Jacobian is not zero.
+            ValueError: c1 is 0 but the diffusion fields fail the check.
         """
-        if not self.additive:
+        if self.constants.c1 != 0:
             return self.noise_term
         at = np.ones(self.dim_state)
-        if np.any(self.diffusion_jacobians(at) != 0):
-            raise ValueError("problem %r is declared additive but its diffusion "
-                             "Jacobian is not zero" % self.name)
+        v = np.array(self.diffusion(at), dtype=float)
+        if (np.any(self.diffusion_jacobians(at) != 0)
+                or np.any(self.diffusion(-2.0 * at) != v)):
+            raise ValueError("problem %r declares c1 = 0 (constant diffusion) "
+                             "but its diffusion fields depend on the state"
+                             % self.name)
+        if self.dim_noise != 1:
+            return self.noise_term
         ns = self.noise_scale
-        v = np.array(self.diffusion(at), dtype=float).reshape(
-            self.dim_noise, self.dim_state)
-        if self.dim_noise == 1:
-            v0 = v[0]
+        v0 = v.reshape(self.dim_state)
 
-            def noise(x, dB):
-                return ns * (v0 * dB)
-        else:
-            def noise(x, dB):
-                return ns * np.einsum("kn,...k->...n", v, dB)
+        def noise(x, dB):
+            return ns * (v0 * dB)
+
         return noise
 
 
@@ -286,7 +286,6 @@ def make_fig1():
     base.diffusion_hessians = diffusion_hess
     base.constants.c1 = 0.0
     base.constants.K = 1.0
-    base.additive = True
     return base
 
 
@@ -377,7 +376,7 @@ def make_coupled_2d(a, b, sigma1=(0.1, 0.0), sigma2=(0.0, 0.1),
         drift=drift, drift_jacobian=drift_jac, drift_hessian=drift_hess,
         diffusion=diffusion, diffusion_jacobians=diffusion_jac,
         diffusion_hessians=diffusion_hess,
-        constants=constants, noise_scale=noise_scale, additive=True,
+        constants=constants, noise_scale=noise_scale,
         extra_conditions={"eigenvalue_negativity_2d": eig_negativity_margin},
     )
 
@@ -434,7 +433,7 @@ def make_linear_1d(rate=1.0, sigma=0.2, noise_scale=1.0):
         drift=drift, drift_jacobian=drift_jac, drift_hessian=drift_hess,
         diffusion=diffusion, diffusion_jacobians=diffusion_jac,
         diffusion_hessians=diffusion_hess,
-        constants=constants, noise_scale=noise_scale, additive=True,
+        constants=constants, noise_scale=noise_scale,
     )
 
 

@@ -83,8 +83,9 @@ def make_stepper(problem, config):
 
     For kind "em-modified" the modified fields are built once up front, so the
     returned closure prices one implicit solve per call like splitstep does.
-    The noise map is bound here too (SdeProblem.noise_fn), so an additive
-    problem's diffusion fields are evaluated once, not on every step.
+    The noise map is bound here too (SdeProblem.noise_fn), so the diffusion
+    fields of a problem with c1 = 0 (additive noise) are evaluated once, not
+    on every step.
     """
     kind = config.kind
     delta = config.delta

@@ -288,6 +288,7 @@ def test_additive_tangent_step_equals_general_step(problem):
     rng = np.random.default_rng(5)
     z = rng.normal(scale=2.0, size=(257, n + n * n))
     dB = rng.normal(scale=0.1, size=(257, problem.dim_noise))
-    general = dataclasses.replace(problem, additive=False)
+    general = dataclasses.replace(
+        problem, constants=dataclasses.replace(problem.constants, c1=1.0))
     np.testing.assert_array_equal(_tangent_stepper(problem, 0.01)(z, dB),
                                   _tangent_stepper(general, 0.01)(z, dB))

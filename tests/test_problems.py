@@ -169,22 +169,44 @@ def test_bound_additive_noise_equals_noise_term(problem, n, seed):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, problem.dim_state)) * 10.0 ** rng.uniform(-3, 3, (n, 1))
     dB = rng.normal(size=(n, problem.dim_noise)) * 10.0 ** rng.uniform(-4, 1)
-    assert problem.additive
+    assert problem.constants.c1 == 0
     assert np.array_equal(problem.noise_fn()(x, dB), problem.noise_term(x, dB))
 
 
-def test_only_constant_field_problems_are_additive():
-    names = ("cubic1d", "coupled2d", "fig1", "ou")
-    assert [m.make_problem(n).additive for n in names] == [False, True, True, True]
-    p = m.make_cubic_1d(1.0, 0.3)
-    assert p.noise_fn() == p.noise_term
+def test_constant_map_is_bound_only_for_one_noise_component():
+    # c1 = 0 declares constant diffusion; the constant map is bound only for
+    # one noise component, every other problem keeps noise_term
+    problems = {n: m.make_problem(n) for n in ("cubic1d", "coupled2d", "fig1", "ou")}
+    assert [p.constants.c1 == 0 for p in problems.values()] == [
+        False, True, True, True]
+    for name, p in problems.items():
+        assert (p.noise_fn() == p.noise_term) == (name in ("cubic1d", "coupled2d"))
+
+
+def _declared_constant(problem):
+    return dataclasses.replace(
+        problem, constants=dataclasses.replace(problem.constants, c1=0.0))
 
 
 @pytest.mark.parametrize("kind", m.KINDS)
-def test_additive_declaration_with_state_dependent_noise_is_rejected(kind):
-    p = dataclasses.replace(m.make_cubic_1d(1.0, 0.3), additive=True)
-    with pytest.raises(ValueError, match="'cubic1d.*declared additive"):
+def test_c1_zero_with_state_dependent_noise_is_rejected(kind):
+    p = _declared_constant(m.make_cubic_1d(1.0, 0.3))
+    with pytest.raises(ValueError, match="'cubic1d.*declares c1 = 0"):
         m.make_stepper(p, m.SchemeConfig(kind, 0.05))
+
+
+@pytest.mark.parametrize("field,jacobian", [
+    # zero Jacobian at x = 1, where it is checked; the second point differs
+    (lambda x: (x - 1.0) ** 2, lambda x: 2.0 * (x - 1.0)),
+    # equal values at x = 1 and x = -2; the Jacobian at x = 1 is 3
+    (lambda x: (x - 1.0) * (x + 2.0), lambda x: 2.0 * x + 1.0),
+], ids=["flat-at-one", "equal-at-both-points"])
+def test_c1_zero_check_evaluates_jacobian_and_two_points(field, jacobian):
+    p = dataclasses.replace(
+        m.make_problem("ou"), diffusion=lambda x: field(x)[..., None, :],
+        diffusion_jacobians=lambda x: jacobian(x)[..., None, :, None])
+    with pytest.raises(ValueError, match="'ou.*declares c1 = 0"):
+        p.noise_fn()
 
 
 def test_constants_validation():

@@ -72,7 +72,7 @@ def test_em_modified_equals_splitstep_pathwise():
                                             (m.make_cubic_1d(1.0, 0.3), 2)],
                          ids=["fig1", "cubic1d"])
 def test_em_modified_step_solve_count(monkeypatch, problem, solves):
-    # an additive problem's modified diffusion is constant, so only the
+    # with c1 = 0 the modified diffusion is constant too, so only the
     # drift needs F^delta; cubic1d also evaluates V o F^delta
     step = m.make_stepper(problem, m.SchemeConfig("em-modified", 0.05))
     calls = []
