@@ -21,7 +21,8 @@ from .schemes import SchemeConfig, epsilon_delta, make_stepper, select_alpha
 
 
 class NonFiniteEstimate(ArithmeticError):
-    """An estimated curve has non-finite entries."""
+    """An estimated curve has non-finite entries, or a quantity a fit takes
+    the log of is zero."""
 
 
 @dataclass
@@ -297,6 +298,10 @@ def convergence_order(problem, kind, deltas, observable, x0, horizon, n_paths,
 
     Returns:
         OrderReport with beta_hat and per-delta sup errors.
+
+    Raises:
+        NonFiniteEstimate: a sup error is zero or not finite (a start at a
+            fixed point of the SDE makes every error 0), naming its delta.
     """
     deltas = np.asarray(sorted(deltas, reverse=True), dtype=float)
     if deltas.size < 3:
@@ -339,6 +344,11 @@ def convergence_order(problem, kind, deltas, observable, x0, horizon, n_paths,
         k = int(np.argmax(err))
         sup_errors[i] = err[k]
         halfwidths[i] = hw[k]
+        if not (np.isfinite(sup_errors[i]) and sup_errors[i] > 0):
+            raise NonFiniteEstimate(
+                "sup error %r at delta=%g: the log-log order fit needs a "
+                "positive finite error at every delta"
+                % (float(sup_errors[i]), deltas[i]))
 
     sigma = halfwidths / np.maximum(sup_errors, 1e-300)
     beta, intercept, beta_se = _wls_line(np.log(deltas), np.log(sup_errors), sigma)

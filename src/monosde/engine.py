@@ -492,8 +492,8 @@ class _BlockRun:
             self.ptr = 1
 
     def record(self, j):
-        xa = self.x[self.active]
-        n = xa.shape[0]
+        n = int(np.count_nonzero(self.active))
+        xa = self.x if n == self.size else self.x[self.active]
         self.counts[j] = n
         if n == 0:
             return

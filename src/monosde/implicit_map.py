@@ -86,6 +86,15 @@ def solve_fdelta(problem, y, delta, config=None):
     tolerance and raises NonConvergence, as |y| = 1e150 already did. An
     exactly zero pivot ends Newton there, as a singular solve does for N >= 2.
 
+    An iteration in which every unfinished row lowers its residual, and no
+    finished row's residual grows, takes the full step outright; only
+    otherwise does it backtrack and keep each row's better point. Finished
+    rows get a zero step and recompute their own residual, so both routes
+    give the same bits: a finished row's point does not move, and every
+    other row takes the full step either way. (A recomputed residual can
+    differ only for an infinite state, whose tolerance is infinite: its
+    residual inf can come back NaN, and then the iteration backtracks.)
+
     Args:
         problem: SdeProblem supplying drift and drift_jacobian.
         y: states, shape (..., N).
@@ -111,40 +120,50 @@ def solve_fdelta(problem, y, delta, config=None):
             % (delta, 1.0 / (2.0 * c0)))
 
     n = problem.dim_state
-    eye = np.eye(n)
     # residual tolerance scales with the state so solves remain feasible for
     # very large |y| (float64 cannot reach 1e-12 absolutes at scale 1e6)
     tol = cfg.abs_tol * np.maximum(1.0, _norm(y))
-    u0y = problem.drift(y)
-    z_pred = y + delta * u0y
+    du = delta * problem.drift(y)
+    z_pred = y + du
     g_pred = _residual(problem, z_pred, y, delta)
     r_pred = _norm(g_pred)
-    r_id = _norm(delta * u0y)
+    r_id = _norm(du)
     # start from the explicit predictor unless it lands somewhere worse than y
     use_pred = np.isfinite(r_pred) & (r_pred <= r_id)
-    z = np.where(use_pred[..., None], z_pred, y)
-    g = np.where(use_pred[..., None], g_pred, -delta * u0y)
-    r = np.where(use_pred, r_pred, r_id)
+    if use_pred.all():
+        z, g, r = z_pred, g_pred, r_pred
+    else:
+        z = np.where(use_pred[..., None], z_pred, y)
+        g = np.where(use_pred[..., None], g_pred, -du)
+        r = np.where(use_pred, r_pred, r_id)
 
     for _ in range(cfg.max_newton_iters):
         done = r <= tol
-        if done.all():
-            break
-        jac = eye - delta * problem.drift_jacobian(z)
+        n_done = np.count_nonzero(done)
+        if n_done == done.size:
+            return z
+        jac = problem.drift_jacobian(z)
         if n == 1:
-            if not jac.all():
+            pivot = 1.0 - delta * jac[..., 0]
+            if not pivot.all():
                 break
-            step = g / jac[..., 0]
+            step = g / pivot
         else:
             try:
-                step = np.linalg.solve(jac, g[..., None])[..., 0]
+                step = np.linalg.solve(np.eye(n) - delta * jac,
+                                       g[..., None])[..., 0]
             except np.linalg.LinAlgError:
                 break
-        step = np.where(done[..., None], 0.0, step)
-        t = 1.0
+        if n_done:
+            np.copyto(step, 0.0, where=done[..., None])
         z_try = z - step
         g_try = _residual(problem, z_try, y, delta)
         r_try = _norm(g_try)
+        full = np.where(done, r_try <= r, r_try < r) if n_done else r_try < r
+        if full.all():
+            z, g, r = z_try, g_try, r_try
+            continue
+        t = 1.0
         for _ in range(12):
             bad = ~np.isfinite(r_try) | ((r_try >= r) & (r > tol))
             if not bad.any():
@@ -239,8 +258,14 @@ def _bisect_1d(problem, z, y, delta, r, tol, cfg):
 def fdelta_gradient(problem, x, delta, config=None):
     """grad F^delta(x) = (I - delta * grad U0(F^delta(x)))^{-1}, shape (..., N, N)."""
     z = solve_fdelta(problem, x, delta, config)
+    return _jacobian_and_gradient(problem, z, delta)[1]
+
+
+def _jacobian_and_gradient(problem, z, delta):
+    """grad U0(z) and (I - delta * grad U0(z))^{-1}; at z = F^delta(x) the
+    second is grad F^delta(x)."""
     jac = problem.drift_jacobian(z)
-    return np.linalg.inv(np.eye(problem.dim_state) - delta * jac)
+    return jac, np.linalg.inv(np.eye(problem.dim_state) - delta * jac)
 
 
 def make_modified_fields(problem, delta, config=None):
@@ -273,16 +298,15 @@ def make_modified_fields(problem, delta, config=None):
         return (fdelta(x) - x) / delta
 
     def drift_jacobian(x):
-        z = fdelta(x)
-        grad_f = np.linalg.inv(np.eye(base.dim_state) - delta * base.drift_jacobian(z))
-        return np.einsum("...im,...mj->...ij", base.drift_jacobian(z), grad_f)
+        jac, grad_f = _jacobian_and_gradient(base, fdelta(x), delta)
+        return np.einsum("...im,...mj->...ij", jac, grad_f)
 
     def diffusion(x):
         return base.diffusion(fdelta(x))
 
     def diffusion_jacobians(x):
         z = fdelta(x)
-        grad_f = np.linalg.inv(np.eye(base.dim_state) - delta * base.drift_jacobian(z))
+        grad_f = _jacobian_and_gradient(base, z, delta)[1]
         return np.einsum("...kim,...mj->...kij", base.diffusion_jacobians(z), grad_f)
 
     from .problems import SdeProblem

@@ -81,8 +81,10 @@ def epsilon_delta(constants, alpha, delta):
 def make_stepper(problem, config):
     """Bind a SchemeConfig to a problem; returns step(x, dB) -> x_next.
 
-    For kind "em-modified" the modified fields are built once up front, so the
-    returned closure prices one implicit solve per call like splitstep does.
+    For kind "em-modified" the step is explicit Euler on the modified fields
+    with one F^delta solve per call: z = F^delta(x), then
+    x + delta*((z - x)/delta) plus the noise map at z. That is the arithmetic
+    of the modified drift and noise_term, so the bits are theirs.
     The noise map is bound here too (SdeProblem.noise_fn), so the diffusion
     fields of a problem with c1 = 0 (additive noise) are evaluated once, not
     on every step.
@@ -90,11 +92,14 @@ def make_stepper(problem, config):
     kind = config.kind
     delta = config.delta
     solve = config.solve
-    if kind == "em-modified":
-        problem = make_modified_fields(problem, delta, solve)
-        kind = "em"
     noise = problem.noise_fn()
-    if kind == "em":
+    if kind == "em-modified":
+        fdelta = make_modified_fields(problem, delta, solve).fdelta
+
+        def step(x, dB):
+            z = fdelta(x)
+            return x + delta * ((z - x) / delta) + noise(z, dB)
+    elif kind == "em":
         def step(x, dB):
             return x + delta * problem.drift(x) + noise(x, dB)
     elif kind == "splitstep":

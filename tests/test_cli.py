@@ -122,6 +122,21 @@ def test_order_on_ou(tmp_path):
     assert (out / "order.csv").exists()
 
 
+@pytest.mark.parametrize("kind", ["tamed", "implicit"])
+def test_order_refuses_zero_sup_error(tmp_path, capsys, kind):
+    # x = 0 is a fixed point of cubic1d (U0(0) = 0, V(0) = 0): every curve
+    # equals its reference, so no order can be fitted through log(0)
+    cfg = _write(tmp_path, "zero.cfg",
+                 "problem.name = cubic1d\nscheme.kind = %s\nrun.x0 = 0\n"
+                 "run.n_paths = 16\nrun.horizon = 1.0\n"
+                 "order.deltas = [0.2, 0.1, 0.05]\nreference.n_paths = 16\n"
+                 % kind)
+    out = tmp_path / "o"
+    assert main(["order", "--config", cfg, "--out", str(out)]) == 4
+    assert "at delta=0.2" in capsys.readouterr().err
+    assert not (out / "order.json").exists()
+
+
 def test_ses_on_ou(tmp_path):
     cfg = _write(tmp_path, "ses.cfg",
                  "problem.name = ou\nses.n_paths = 128\nses.horizon = 3.0\n"
