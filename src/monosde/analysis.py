@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .engine import EnsembleSpec, _prepare_run, _simulate, simulate_ensemble
-from .noise import NoisePlan, _whole_multiple, fine_increments_block
+from .noise import _whole_multiple
 from .problems import Observable
 from .schemes import SchemeConfig, epsilon_delta, make_stepper, select_alpha
 
@@ -54,8 +54,7 @@ class WeakErrorReport:
     n_blowups_curve: int
     n_blowups_ref: int
     seed: int
-    coupling_checksum_curve: float
-    coupling_checksum_ref: float
+    coupled: bool              # curve and reference rode one Brownian lattice
 
 
 @dataclass
@@ -159,13 +158,6 @@ def _wls_line(x, y, sigma):
     return b, a, math.sqrt(sw / denom)
 
 
-def _coupling_checksum(plan):
-    """Sum of path 0's first fine increments; equal checksums mean two plans
-    consume the same underlying Brownian lattice."""
-    take = min(8, plan.n_fine_steps)
-    return float(np.sum(fine_increments_block(plan, 0, 0, take)[:, 0, :]))
-
-
 def _compare(curve, ref):
     """|curve mean - reference mean| and its combined standard error, for two
     Series on one record grid."""
@@ -177,7 +169,8 @@ def _compare(curve, ref):
 
 def _coupled_runs(problem, reference, observable, horizon, seed, threads,
                   curves):
-    """Run coarse curves and their fine references in one pass over the noise.
+    """Run coarse curves and their fine references in one pass over the noise
+    on the lattice (seed, reference.delta).
 
     Args:
         curves: (scheme, x0, n_paths, record_dt) per coarse run. Every scheme
@@ -186,41 +179,31 @@ def _coupled_runs(problem, reference, observable, horizon, seed, threads,
             curve that uses it.
 
     Returns:
-        One (curve result, reference result, curve plan, reference plan)
-        tuple per curve.
+        One (curve result, reference result) pair per curve.
     """
-    d = problem.dim_noise
     ref_scheme = SchemeConfig(reference.kind, reference.delta,
                               alpha=reference.alpha)
-    plan_r = NoisePlan(seed, reference.n_paths, d, fine_delta=reference.delta,
-                       horizon=horizon)
     runs = []
     ref_index = {}
     pairs = []
     for scheme, x0, n_paths, rec in curves:
-        m = _whole_multiple(scheme.delta, reference.delta)
-        if m is None:
-            raise ValueError("reference delta %g does not divide scheme delta %g"
-                             % (reference.delta, scheme.delta))
-        plan_c = NoisePlan(seed, n_paths, d, fine_delta=reference.delta,
-                           horizon=horizon, coarsen_factor=m)
-        spec_c = EnsembleSpec(x0, n_paths, horizon, seed=seed, record_dt=rec,
+        spec_c = EnsembleSpec(x0, n_paths, horizon, seed=seed,
+                              fine_delta=reference.delta, record_dt=rec,
                               threads=threads)
         key = (tuple(np.atleast_1d(np.asarray(x0, dtype=float))), rec)
         if key not in ref_index:
             ref_index[key] = len(runs)
-            spec_r = EnsembleSpec(x0, reference.n_paths, horizon, seed=seed,
-                                  record_dt=rec, threads=threads)
-            runs.append((ref_scheme, spec_r, [observable], plan_r))
+            runs.append((ref_scheme, replace(spec_c, n_paths=reference.n_paths),
+                         [observable]))
         pairs.append((len(runs), ref_index[key]))
-        runs.append((scheme, spec_c, [observable], plan_c))
+        runs.append((scheme, spec_c, [observable]))
     results = simulate_ensemble(problem, *runs[0], coupled=runs[1:])
-    return [(results[c], results[r], runs[c][3], plan_r) for c, r in pairs]
+    return [(results[c], results[r]) for c, r in pairs]
 
 
 def _weak_error_report(scheme, observable, horizon, seed, coupled):
-    """WeakErrorReport of one (curve, reference, plans) tuple of _coupled_runs."""
-    res_c, res_r, plan_c, plan_r = coupled
+    """WeakErrorReport of one (curve, reference) pair of _coupled_runs."""
+    res_c, res_r = coupled
     sc = res_c.observables[observable.name]
     sr = res_r.observables[observable.name]
     if sc.times.shape != sr.times.shape or not np.allclose(sc.times, sr.times):
@@ -240,8 +223,8 @@ def _weak_error_report(scheme, observable, horizon, seed, coupled):
         ref_mean=sr.mean, ref_stderr=sr.stderr,
         n_blowups_curve=res_c.n_blowups, n_blowups_ref=res_r.n_blowups,
         seed=seed,
-        coupling_checksum_curve=_coupling_checksum(plan_c),
-        coupling_checksum_ref=_coupling_checksum(plan_r))
+        coupled=((res_c.seed, res_c.fine_delta)
+                 == (res_r.seed, res_r.fine_delta)))
 
 
 def weak_error_curve(problem, scheme, observable, x0, horizon, n_paths,
@@ -333,7 +316,7 @@ def convergence_order(problem, kind, deltas, observable, x0, horizon, n_paths,
             problem, ref, observable, horizon, seed, threads,
             [(scheme, x0, n_paths, rd if rd is not None else scheme.delta)
              for scheme, rd in curves])
-        for res_c, res_r, _, _ in coupled:
+        for res_c, res_r in coupled:
             err, se = _compare(res_c.observables[observable.name],
                                res_r.observables[observable.name])
             errors.append((err, 1.96 * se))
@@ -383,7 +366,7 @@ def local_weak_error_profile(problem, scheme, states, deltas, observable,
                               n_paths=n_paths)
         coupled = _coupled_runs(problem, ref, observable, delta, seed, threads,
                                 [(one, x, n_paths, delta) for x in states])
-        for i, (res_c, res_r, _, _) in enumerate(coupled):
+        for i, (res_c, res_r) in enumerate(coupled):
             err, se = _compare(res_c.observables[observable.name],
                                res_r.observables[observable.name])
             cells[i, j] = ProfileRow(x=states[i], delta=delta,

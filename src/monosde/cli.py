@@ -239,7 +239,7 @@ def cmd_fig1(ctx):
                   _run_meta(ctx, problem, ref_scheme, x0),
                   _series_columns(ref, rser))
         summary[key] = {}
-        for (label, scheme), (res, _, _, _) in zip(curves, mine):
+        for (label, scheme), (res, _) in zip(curves, mine):
             ser = res.observables[obs.name]
             write_csv(ctx.out / ("fig1_x0-%s_%s.csv" % (_fmt(x0), label)),
                       _run_meta(ctx, problem, scheme, x0),
@@ -283,7 +283,7 @@ def cmd_weak_error(ctx):
         "sup_error": rep.sup_error,
         "max_halfwidth": rep.max_halfwidth,
         "plateau": rep.plateau,
-        "coupled": rep.coupling_checksum_curve == rep.coupling_checksum_ref,
+        "coupled": rep.coupled,
         "n_blowups_curve": rep.n_blowups_curve,
         "n_blowups_ref": rep.n_blowups_ref,
     })

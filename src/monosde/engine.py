@@ -83,15 +83,19 @@ class EnsembleSpec:
 
     record_dt None means record at every coarse step; otherwise it must be an
     integer multiple of the scheme step. x0 is a scalar or a length-N vector
-    shared by all paths. Each moment order p is recorded as the mean of the
-    observable |x|^p. threads caps the worker processes of a pass at the
-    usable cores; it never changes a result.
+    shared by all paths. seed and fine_delta (None: the scheme step) name the
+    Brownian lattice, and the scheme step must be a whole multiple of
+    fine_delta; runs that share both see the same Brownian paths. Each
+    moment order p is recorded as the mean of the observable |x|^p. threads
+    caps the worker processes of a pass at the usable cores; it never
+    changes a result.
     """
 
     x0: object
     n_paths: int
     horizon: float
     seed: int = 0
+    fine_delta: Optional[float] = None
     record_dt: Optional[float] = None
     threads: int = 1
     blowup_threshold: float = 1e12
@@ -109,6 +113,10 @@ class Series:
 
 @dataclass
 class EnsembleResult:
+    """One run's series. seed and fine_delta name the Brownian lattice the
+    run rode: path i of two results that agree on both saw the same fine
+    increments."""
+
     times: np.ndarray
     n_paths: int
     n_active: np.ndarray      # surviving paths at each record time
@@ -116,6 +124,7 @@ class EnsembleResult:
     scheme_kind: str
     delta: float
     seed: int
+    fine_delta: float
     blowup_threshold: float
     moments: dict = field(default_factory=dict)       # order p -> Series of |x|^p
     observables: dict = field(default_factory=dict)   # name -> Series
@@ -134,24 +143,15 @@ class _Run:
     x0: np.ndarray
 
 
-def _prepare_run(problem, scheme, spec, observables=(), plan=None):
+def _prepare_run(problem, scheme, spec, observables=()):
     delta = scheme.delta
-    if plan is None:
-        plan = NoisePlan(spec.seed, spec.n_paths, problem.dim_noise,
-                         fine_delta=delta, horizon=spec.horizon)
-    else:
-        if abs(plan.coarse_delta - delta) > 1e-12 * max(1.0, delta):
-            raise ValueError("plan.coarse_delta %g != scheme delta %g"
-                             % (plan.coarse_delta, delta))
-        if plan.master_seed != spec.seed:
-            raise ValueError("plan.master_seed %d != spec.seed %d"
-                             % (plan.master_seed, spec.seed))
-        if plan.n_paths != spec.n_paths:
-            raise ValueError("plan.n_paths != spec.n_paths")
-        if abs(plan.horizon - spec.horizon) > 1e-9 * max(1.0, spec.horizon):
-            raise ValueError("plan.horizon != spec.horizon")
-        if plan.d != problem.dim_noise:
-            raise ValueError("plan.d != problem.dim_noise")
+    fine = delta if spec.fine_delta is None else spec.fine_delta
+    m = _whole_multiple(delta, fine) if fine > 0 else None
+    if m is None:
+        raise ValueError("scheme delta %g is not a whole multiple of "
+                         "spec.fine_delta %g" % (delta, fine))
+    plan = NoisePlan(spec.seed, spec.n_paths, problem.dim_noise,
+                     fine_delta=fine, horizon=spec.horizon, coarsen_factor=m)
 
     n = problem.dim_state
     x0 = np.atleast_1d(np.asarray(spec.x0, dtype=float))
@@ -169,24 +169,21 @@ def _prepare_run(problem, scheme, spec, observables=(), plan=None):
                 make_stepper(problem, scheme), rec_steps, x0)
 
 
-def simulate_ensemble(problem, scheme, spec, observables=(), plan=None,
-                      coupled=None):
+def simulate_ensemble(problem, scheme, spec, observables=(), coupled=None):
     """Run one scheme over an ensemble of Brownian paths.
 
     Args:
         problem: SdeProblem.
         scheme: SchemeConfig; scheme.delta is the stepping resolution.
-        spec: EnsembleSpec; its threads cap the worker processes of the
-            whole pass.
+        spec: EnsembleSpec; its seed and fine_delta name the Brownian
+            lattice, and its threads cap the worker processes of the whole
+            pass.
         observables: iterable of Observable; each gets a mean series.
-        plan: optional NoisePlan for common-random-number coupling. Its
-            coarse_delta must equal scheme.delta and its horizon/paths must
-            cover the spec. Default: a fresh plan on the scheme's own lattice.
-        coupled: optional list of further (scheme, spec, observables, plan)
-            runs driven by the same pass over the noise. Every run's plan
-            (None means the default plan) must share this plan's seed,
-            fine_delta and fine step count. Each run gets exactly the result
-            it would get alone.
+        coupled: optional list of further (scheme, spec, observables) runs
+            driven by the same pass over the noise. Every run must share
+            this run's seed, fine_delta and fine step count
+            (horizon / fine_delta). Each run gets exactly the result it
+            would get alone.
 
     Returns:
         EnsembleResult with moment and observable series over record times;
@@ -196,10 +193,10 @@ def simulate_ensemble(problem, scheme, spec, observables=(), plan=None,
     Raises:
         AllPathsBlewUp: when no surviving path remains at the final time
             (with coupled, for the first run in order where that happens).
-        ValueError: on an invalid spec or plan, or a coupled run on another
-            fine lattice.
+        ValueError: on an invalid spec, a scheme step off its fine lattice,
+            or a coupled run on another fine lattice.
     """
-    runs = [_prepare_run(problem, scheme, spec, observables, plan)]
+    runs = [_prepare_run(problem, scheme, spec, observables)]
     runs += [_prepare_run(problem, *args) for args in (coupled or ())]
     results = _simulate(runs)
     return results[0] if coupled is None else results
@@ -211,10 +208,13 @@ def _simulate(runs):
     the pass's worker processes."""
     lead = runs[0].plan
     for run in runs[1:]:
-        for name in ("master_seed", "fine_delta", "n_fine_steps"):
+        for label, name in (("spec.seed", "master_seed"),
+                            ("spec.fine_delta", "fine_delta"),
+                            ("fine-step count spec.horizon / fine_delta",
+                             "n_fine_steps")):
             if getattr(run.plan, name) != getattr(lead, name):
-                raise ValueError("coupled run has plan.%s %r, expected %r"
-                                 % (name, getattr(run.plan, name),
+                raise ValueError("coupled run has %s %r, expected %r"
+                                 % (label, getattr(run.plan, name),
                                     getattr(lead, name)))
 
     partials = _map_blocks(runs, _n_blocks(runs), runs[0].spec.threads)
@@ -331,7 +331,8 @@ def _reduce(run, partials):
     return EnsembleResult(
         times=times, n_paths=run.spec.n_paths, n_active=counts,
         n_blowups=int(blowups), scheme_kind=run.scheme.kind, delta=delta,
-        seed=run.plan.master_seed, blowup_threshold=run.spec.blowup_threshold,
+        seed=run.plan.master_seed, fine_delta=run.plan.fine_delta,
+        blowup_threshold=run.spec.blowup_threshold,
         moments=dict(zip(run.spec.moment_orders, series[k:])),
         observables={obs.name: s for obs, s in zip(run.observables, series)})
 

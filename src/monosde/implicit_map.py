@@ -102,12 +102,19 @@ def solve_fdelta(problem, y, delta, config=None):
         config: ImplicitSolveConfig; defaults are tight (abs_tol 1e-12).
 
     Returns:
-        z with the same shape as y, satisfying the residual bound
-        |z - y - delta*U0(z)| <= abs_tol * max(1, |y|).
+        z with the same shape as y. Every row whose norm |y| is finite
+        satisfies the residual bound |z - y - delta*U0(z)| <= abs_tol *
+        max(1, |y|). A row whose norm is NaN or infinite (a NaN or infinite
+        entry, or for N >= 2 a norm that overflows above about 1.3e154) is
+        returned unsolved, and nothing is raised for it: its tolerance is
+        NaN or infinite, so its residual never exceeds it. Callers that
+        need finite rows check them; the engine's blow-up guard freezes
+        such paths.
 
     Raises:
         DeltaTooLarge: if the registered c0 > 0 and delta >= 1/(2*c0).
-        NonConvergence: if some batch entry never meets the tolerance.
+        NonConvergence: if some batch entry with a finite norm never meets
+            the tolerance.
     """
     cfg = config if config is not None else ImplicitSolveConfig()
     y = np.asarray(y, dtype=float)
@@ -311,7 +318,7 @@ def make_modified_fields(problem, delta, config=None):
 
     from .problems import SdeProblem
 
-    mod = SdeProblem(
+    return SdeProblem(
         name=base.name + "-modified",
         dim_state=base.dim_state,
         dim_noise=base.dim_noise,
@@ -322,8 +329,6 @@ def make_modified_fields(problem, delta, config=None):
         constants=dataclasses.replace(base.constants),
         noise_scale=base.noise_scale,
     )
-    mod.fdelta = fdelta
-    return mod
 
 
 def fdelta_derivative_bounds_check(problem, delta, points=None, tol=1e-6,

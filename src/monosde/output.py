@@ -62,12 +62,18 @@ def _json_default(obj):
 
 
 def write_json(path, meta, payload):
-    """Write payload under a 'meta' header block; keys sorted, 2-space indent."""
+    """Write payload under a 'meta' header block; keys sorted, 2-space indent.
+
+    Raises:
+        ValueError: the document holds a NaN or infinite float, which JSON
+            cannot represent; no file is written.
+    """
     doc = {"meta": dict(meta)}
     doc.update(payload)
+    text = json.dumps(doc, indent=2, sort_keys=True, default=_json_default,
+                      allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def standard_meta(version, cfg_hash, seed, extra=()):

@@ -18,8 +18,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .implicit_map import (ImplicitSolveConfig, _norm, make_modified_fields,
-                           solve_fdelta)
+from .implicit_map import ImplicitSolveConfig, _norm, solve_fdelta
 
 KINDS = ("em", "splitstep", "implicit", "tamed", "tte", "em-modified")
 
@@ -94,10 +93,8 @@ def make_stepper(problem, config):
     solve = config.solve
     noise = problem.noise_fn()
     if kind == "em-modified":
-        fdelta = make_modified_fields(problem, delta, solve).fdelta
-
         def step(x, dB):
-            z = fdelta(x)
+            z = solve_fdelta(problem, x, delta, solve)
             return x + delta * ((z - x) / delta) + noise(z, dB)
     elif kind == "em":
         def step(x, dB):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import monosde as m
-from monosde.analysis import ReferenceConfig, _coupling_checksum, _tangent_stepper
+from monosde.analysis import ReferenceConfig, _tangent_stepper
 from monosde.noise import CHUNK_STEPS, fine_increments_block
 
 FIG1 = m.make_fig1()
@@ -29,16 +29,7 @@ def test_weak_error_curve_structure():
     assert rep.max_halfwidth >= np.max(rep.halfwidth) - 1e-15
     assert rep.n_blowups_curve == 0 and rep.n_blowups_ref == 0
     # curve and reference rode the same underlying increments
-    assert rep.coupling_checksum_curve == rep.coupling_checksum_ref
-
-
-def test_coupling_checksum_tells_lattices_apart():
-    base = m.NoisePlan(4, 10, 1, fine_delta=0.01, horizon=1.0)
-    same = m.NoisePlan(4, 3, 1, fine_delta=0.01, horizon=1.0, coarsen_factor=5)
-    assert _coupling_checksum(base) == _coupling_checksum(same)
-    for other in (m.NoisePlan(5, 10, 1, fine_delta=0.01, horizon=1.0),
-                  m.NoisePlan(4, 10, 1, fine_delta=0.02, horizon=1.0)):
-        assert _coupling_checksum(other) != _coupling_checksum(base)
+    assert rep.coupled
 
 
 def test_weak_error_plateau_definition():

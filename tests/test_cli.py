@@ -137,6 +137,47 @@ def test_order_refuses_zero_sup_error(tmp_path, capsys, kind):
     assert not (out / "order.json").exists()
 
 
+def _assert_finite_outputs(out, names):
+    """Every listed file exists and every number in it is finite."""
+    for name in names:
+        path = out / name
+        assert path.exists(), name
+        if name.endswith(".csv"):
+            _, _, rows = _read_csv(path)
+            values = [float(v) for row in rows for v in row]
+        else:
+            doc = json.loads(path.read_text())
+            values = np.hstack([v for k, v in doc.items() if k != "meta"
+                                and isinstance(v, (int, float, list))])
+        assert len(values) and np.all(np.isfinite(values)), name
+
+
+def test_order_against_a_reference(tmp_path):
+    cfg = _write(tmp_path, "ref.cfg",
+                 "problem.name = fig1\nscheme.kind = tte\nscheme.alpha = 1.3\n"
+                 "run.n_paths = 64\nrun.horizon = 1.0\n"
+                 "order.deltas = [0.2, 0.1, 0.05]\n"
+                 "reference.delta = 0.0125\nreference.n_paths = 64\n")
+    out = tmp_path / "o"
+    assert main(["order", "--config", cfg, "--out", str(out)]) == 0
+    _assert_finite_outputs(out, ["order.csv", "order.json"])
+    doc = json.loads((out / "order.json").read_text())
+    assert doc["deltas"] == [0.2, 0.1, 0.05]
+
+
+def test_local_error_profile(tmp_path):
+    cfg = _write(tmp_path, "local.cfg",
+                 "problem.name = fig1\nscheme.kind = tte\nscheme.alpha = 1.3\n"
+                 "local.states = [0, 1, 2, 4]\nlocal.deltas = [0.2, 0.1, 0.05]\n"
+                 "local.n_paths = 64\nlocal.inner_factor = 10\n")
+    out = tmp_path / "o"
+    assert main(["local-error", "--config", cfg, "--out", str(out)]) == 0
+    _assert_finite_outputs(out, ["local_error.csv", "local_error.json"])
+    _, header, rows = _read_csv(out / "local_error.csv")
+    assert header == ["x_norm", "delta", "err", "halfwidth"]
+    assert len(rows) == 4 * 3
+
+
 def test_ses_on_ou(tmp_path):
     cfg = _write(tmp_path, "ses.cfg",
                  "problem.name = ou\nses.n_paths = 128\nses.horizon = 3.0\n"

@@ -34,8 +34,8 @@ def test_split_reads_concatenate_to_single_read(data, n, n_paths, d, seed):
     np.testing.assert_array_equal(np.concatenate(pieces), whole)
 
 
-def _spec(plan, x0, horizon, threads, threshold=1e12):
-    return m.EnsembleSpec(x0, plan.n_paths, horizon, seed=plan.master_seed,
+def _spec(seed, n_paths, x0, horizon, threads, threshold=1e12, fine=FINE):
+    return m.EnsembleSpec(x0, n_paths, horizon, seed=seed, fine_delta=fine,
                           threads=threads, blowup_threshold=threshold)
 
 
@@ -63,10 +63,8 @@ def _check_coupled_equals_separate(runs, threads):
     jobs = []
     for k, n_paths, x0, threshold in runs:
         scheme = m.SchemeConfig("tte", k * FINE, alpha=1.3)
-        plan = m.NoisePlan(3, n_paths, 1, fine_delta=FINE, horizon=horizon,
-                           coarsen_factor=k)
-        jobs.append((scheme, _spec(plan, x0, horizon, threads, threshold),
-                     [IDENTITY, ARCTAN], plan))
+        jobs.append((scheme, _spec(3, n_paths, x0, horizon, threads, threshold),
+                     [IDENTITY, ARCTAN]))
     together = m.simulate_ensemble(FIG1, *jobs[0], coupled=jobs[1:])
     assert len(together) == len(jobs)
     for job, res in zip(jobs, together):
@@ -106,14 +104,12 @@ def test_runs_step_on_in_order_sums_of_fine_rows(factors, x0):
     # of the coarse increments the engine consumed
     lcm = math.lcm(*factors)
     horizon = lcm * math.ceil((CHUNK_STEPS + 76) / lcm) * FINE
-    jobs = []
-    for k in factors:
+    jobs = [(m.SchemeConfig("em", k * FINE), _spec(8, 1, x0, horizon, 1),
+             [IDENTITY]) for k in factors]
+    results = m.simulate_ensemble(_brownian_problem(), *jobs[0], coupled=jobs[1:])
+    for k, res in zip(factors, results):
         plan = m.NoisePlan(8, 1, 1, fine_delta=FINE, horizon=horizon,
                            coarsen_factor=k)
-        jobs.append((m.SchemeConfig("em", k * FINE), _spec(plan, x0, horizon, 1),
-                     [IDENTITY], plan))
-    results = m.simulate_ensemble(_brownian_problem(), *jobs[0], coupled=jobs[1:])
-    for (_, _, _, plan), res in zip(jobs, results):
         x = x0
         path = [x]
         for dB in m.increments_for(plan, 0, level="coarse")[:, 0]:
@@ -126,9 +122,8 @@ def test_runs_step_on_in_order_sums_of_fine_rows(factors, x0):
 @given(field=st.sampled_from(["seed", "fine_delta", "horizon"]),
        n_paths=st.integers(1, 50), k=st.sampled_from([1, 2, 4, 5]))
 def test_coupled_run_on_another_lattice_is_rejected(field, n_paths, k):
-    lead_plan = m.NoisePlan(1, 16, 1, fine_delta=0.01, horizon=1.0)
-    lead = (m.SchemeConfig("tamed", 0.01), _spec(lead_plan, 1.0, 1.0, 1), [],
-            lead_plan)
+    lead = (m.SchemeConfig("tamed", 0.01), _spec(1, 16, 1.0, 1.0, 1, fine=0.01),
+            [])
     seed, fine, horizon = 1, 0.01, 1.0
     if field == "seed":
         seed = 2
@@ -136,9 +131,8 @@ def test_coupled_run_on_another_lattice_is_rejected(field, n_paths, k):
         fine = 0.005
     else:
         horizon = 2.0
-    plan = m.NoisePlan(seed, n_paths, 1, fine_delta=fine, horizon=horizon,
-                       coarsen_factor=k)
     other = (m.SchemeConfig("tte", k * fine, alpha=1.3),
-             _spec(plan, 1.0, horizon, 1), [], plan)
-    with pytest.raises(ValueError, match="coupled run has plan"):
+             _spec(seed, n_paths, 1.0, horizon, 1, fine=fine), [])
+    with pytest.raises(ValueError,
+                       match=r"coupled run has .*spec\.%s " % field):
         m.simulate_ensemble(FIG1, *lead, coupled=[other])

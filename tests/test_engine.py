@@ -228,22 +228,23 @@ def test_zero_dynamics_series_constant():
     np.testing.assert_array_equal(r.moments[2].mean, 4.0)
 
 
-def test_shared_noise_plan_gives_common_random_numbers():
-    plan = m.NoisePlan(5, 64, 1, fine_delta=0.05, horizon=1.0)
+def test_fine_delta_of_the_scheme_step_is_the_default_lattice():
     spec = m.EnsembleSpec(1.0, 64, 1.0, seed=5, record_dt=0.25)
-    a = m.simulate_ensemble(FIG1, TTE, spec, [m.make_observable("identity")],
-                            plan=plan)
-    b = m.simulate_ensemble(FIG1, TTE, spec, [m.make_observable("identity")],
-                            plan=plan)
+    a = m.simulate_ensemble(FIG1, TTE, spec, [m.make_observable("identity")])
+    b = m.simulate_ensemble(FIG1, TTE,
+                            dataclasses.replace(spec, fine_delta=TTE.delta),
+                            [m.make_observable("identity")])
+    assert a.fine_delta == b.fine_delta == TTE.delta
     np.testing.assert_array_equal(a.observables["identity"].mean,
                                   b.observables["identity"].mean)
+    np.testing.assert_array_equal(a.moments[4].mean, b.moments[4].mean)
 
 
-def test_plan_seed_must_match_spec_seed():
-    plan = m.NoisePlan(7, 64, 1, fine_delta=0.05, horizon=1.0)
-    spec = m.EnsembleSpec(1.0, 64, 1.0, seed=5, record_dt=0.25)
-    with pytest.raises(ValueError, match="seed"):
-        m.simulate_ensemble(FIG1, TTE, spec, plan=plan)
+@pytest.mark.parametrize("fine_delta", [0.02, 0.1, 0.0])
+def test_scheme_step_off_the_fine_lattice_is_rejected(fine_delta):
+    spec = m.EnsembleSpec(1.0, 64, 1.0, seed=5, fine_delta=fine_delta)
+    with pytest.raises(ValueError, match="spec.fine_delta"):
+        m.simulate_ensemble(FIG1, TTE, spec)
 
 
 def test_drift_step_audit_separates_schemes():
@@ -382,13 +383,11 @@ def _coupled_pass(problem, runs, fine_delta, n_fine, seed, threads):
     horizon = n_fine * fine_delta
     args = []
     for kind, factor, x0, n_paths, threshold in runs:
-        plan = m.NoisePlan(seed, n_paths, problem.dim_noise,
-                           fine_delta=fine_delta, horizon=horizon,
-                           coarsen_factor=factor)
         spec = m.EnsembleSpec(x0, n_paths, horizon, seed=seed,
-                              threads=threads, blowup_threshold=threshold)
+                              fine_delta=fine_delta, threads=threads,
+                              blowup_threshold=threshold)
         args.append((m.SchemeConfig(kind, factor * fine_delta), spec,
-                     [m.make_observable("identity")], plan))
+                     [m.make_observable("identity")]))
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             return m.simulate_ensemble(problem, *args[0], coupled=args[1:])

@@ -53,6 +53,16 @@ def test_write_json_meta_and_numpy(tmp_path):
     assert doc["n"] == 5
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"),
+                                 np.float64("nan"), np.array([1.0, np.inf])])
+def test_write_json_refuses_non_finite_floats(tmp_path, bad):
+    # bare NaN or Infinity is not JSON; the file must not appear at all
+    path = tmp_path / "bad.json"
+    with pytest.raises(ValueError):
+        write_json(path, [("seed", 1)], {"value": bad})
+    assert not path.exists()
+
+
 def test_standard_meta_order():
     meta = standard_meta("0.1.0", "abc123", 7, extra=[("x0", 1.0)])
     keys = [k for k, _ in meta]

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import monosde as m
-from monosde import implicit_map
+from monosde import schemes
 
 FIG1 = m.make_fig1()
 
@@ -73,16 +73,17 @@ def test_em_modified_equals_splitstep_pathwise():
                          ids=["fig1", "cubic1d"])
 def test_em_modified_step_solve_count(monkeypatch, problem, solves):
     # the modified drift and V o F^delta share one F^delta solve per step,
-    # whether the diffusion is constant (fig1) or not (cubic1d)
+    # whether the diffusion is constant (fig1) or not (cubic1d); the stepper
+    # calls solve_fdelta directly, as splitstep does
     step = m.make_stepper(problem, m.SchemeConfig("em-modified", 0.05))
     calls = []
-    solve = implicit_map.solve_fdelta
+    solve = schemes.solve_fdelta
 
     def counted(*args, **kwargs):
         calls.append(1)
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(implicit_map, "solve_fdelta", counted)
+    monkeypatch.setattr(schemes, "solve_fdelta", counted)
     step(np.array([[0.7], [-1.3], [40.0]]), np.array([[0.2], [-0.1], [0.0]]))
     assert len(calls) == solves
 
