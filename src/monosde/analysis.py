@@ -44,9 +44,9 @@ class WeakErrorReport:
     times: np.ndarray
     err: np.ndarray
     halfwidth: np.ndarray      # pointwise 95% combined MC half-width
-    max_halfwidth: float
+    max_halfwidth: Optional[float]   # None where some half-width is undefined
     sup_error: float
-    plateau: bool
+    plateau: Optional[bool]          # None where some half-width is undefined
     curve_mean: np.ndarray
     curve_stderr: np.ndarray
     ref_mean: np.ndarray
@@ -55,6 +55,7 @@ class WeakErrorReport:
     n_blowups_ref: int
     seed: int
     coupled: bool              # curve and reference rode one Brownian lattice
+    stderr_undefined_at: np.ndarray   # record times of undefined half-widths
 
 
 @dataclass
@@ -160,10 +161,11 @@ def _wls_line(x, y, sigma):
 
 def _compare(curve, ref):
     """|curve mean - reference mean| and its combined standard error, for two
-    Series on one record grid."""
+    Series on one record grid. The standard error is not finite wherever
+    either one is (nan where fewer than two paths survive): the comparison
+    at that time is undefined, and nothing may be decided from it."""
     err = np.abs(curve.mean - ref.mean)
-    se = np.sqrt(np.nan_to_num(curve.stderr) ** 2
-                 + np.nan_to_num(ref.stderr) ** 2)
+    se = np.sqrt(curve.stderr ** 2 + ref.stderr ** 2)
     return err, se
 
 
@@ -211,20 +213,25 @@ def _weak_error_report(scheme, observable, horizon, seed, coupled):
     times = sc.times
     err, se = _compare(sc, sr)
     halfwidth = 1.96 * se
-    max_hw = float(np.max(halfwidth))
-    half = horizon / 2.0
-    early = float(np.max(err[times <= half]))
-    late = float(np.max(err[times >= half]))
+    undefined = times[~np.isfinite(halfwidth)]
+    max_hw = plateau = None
+    if not undefined.size:
+        max_hw = float(np.max(halfwidth))
+        half = horizon / 2.0
+        early = float(np.max(err[times <= half]))
+        late = float(np.max(err[times >= half]))
+        plateau = bool(late <= early + 2.0 * max_hw)
     return WeakErrorReport(
         scheme_kind=scheme.kind, delta=scheme.delta, observable=observable.name,
         times=times, err=err, halfwidth=halfwidth, max_halfwidth=max_hw,
-        sup_error=float(np.max(err)), plateau=bool(late <= early + 2.0 * max_hw),
+        sup_error=float(np.max(err)), plateau=plateau,
         curve_mean=sc.mean, curve_stderr=sc.stderr,
         ref_mean=sr.mean, ref_stderr=sr.stderr,
         n_blowups_curve=res_c.n_blowups, n_blowups_ref=res_r.n_blowups,
         seed=seed,
         coupled=((res_c.seed, res_c.fine_delta)
-                 == (res_r.seed, res_r.fine_delta)))
+                 == (res_r.seed, res_r.fine_delta)),
+        stderr_undefined_at=undefined)
 
 
 def weak_error_curve(problem, scheme, observable, x0, horizon, n_paths,
@@ -236,7 +243,10 @@ def weak_error_curve(problem, scheme, observable, x0, horizon, n_paths,
     the same lattice, so both see the same Brownian paths, and both runs
     share one pass over the noise. The plateau flag is true iff the max
     error over [T/2, T] does not exceed the max over [0, T/2] by more than
-    twice the largest pointwise 95% half-width.
+    twice the largest pointwise 95% half-width. Where fewer than two paths of
+    either run survive, the half-width is undefined (nan): the report lists
+    those times in stderr_undefined_at, and max_halfwidth and plateau are
+    None.
 
     Args:
         problem, scheme, observable: what to run and measure.
@@ -284,7 +294,9 @@ def convergence_order(problem, kind, deltas, observable, x0, horizon, n_paths,
 
     Raises:
         NonFiniteEstimate: a sup error is zero or not finite (a start at a
-            fixed point of the SDE makes every error 0), naming its delta.
+            fixed point of the SDE makes every error 0), or the half-width
+            the fit weights it by is undefined (fewer than two paths survive
+            at its time), naming its delta.
     """
     deltas = np.asarray(sorted(deltas, reverse=True), dtype=float)
     if deltas.size < 3:
@@ -309,7 +321,7 @@ def convergence_order(problem, kind, deltas, observable, x0, horizon, n_paths,
             res = simulate_ensemble(problem, scheme, spec, [observable])
             series = res.observables[observable.name]
             err = np.abs(series.mean - np.asarray(exact_mean(series.times)))
-            errors.append((err, 1.96 * np.nan_to_num(series.stderr)))
+            errors.append((series.times, err, 1.96 * series.stderr))
     else:
         ref = reference if reference is not None else ReferenceConfig()
         coupled = _coupled_runs(
@@ -317,13 +329,13 @@ def convergence_order(problem, kind, deltas, observable, x0, horizon, n_paths,
             [(scheme, x0, n_paths, rd if rd is not None else scheme.delta)
              for scheme, rd in curves])
         for res_c, res_r in coupled:
-            err, se = _compare(res_c.observables[observable.name],
-                               res_r.observables[observable.name])
-            errors.append((err, 1.96 * se))
+            series = res_c.observables[observable.name]
+            err, se = _compare(series, res_r.observables[observable.name])
+            errors.append((series.times, err, 1.96 * se))
 
     sup_errors = np.zeros(deltas.size)
     halfwidths = np.zeros(deltas.size)
-    for i, (err, hw) in enumerate(errors):
+    for i, (times, err, hw) in enumerate(errors):
         k = int(np.argmax(err))
         sup_errors[i] = err[k]
         halfwidths[i] = hw[k]
@@ -332,6 +344,11 @@ def convergence_order(problem, kind, deltas, observable, x0, horizon, n_paths,
                 "sup error %r at delta=%g: the log-log order fit needs a "
                 "positive finite error at every delta"
                 % (float(sup_errors[i]), deltas[i]))
+        if not np.isfinite(halfwidths[i]):
+            raise NonFiniteEstimate(
+                "half-width of the sup error at delta=%g, t=%g is undefined "
+                "(fewer than two surviving paths); the order fit weights "
+                "every error by its half-width" % (deltas[i], times[k]))
 
     sigma = halfwidths / np.maximum(sup_errors, 1e-300)
     beta, intercept, beta_se = _wls_line(np.log(deltas), np.log(sup_errors), sigma)
@@ -422,7 +439,10 @@ def _tangent_stepper(problem, delta):
     variation of x: J <- (I + delta grad U0 + ns sum_k grad V_k dB_k) J and
     the EM step of x, both taken at the old x. With c1 = 0 (constant
     diffusion, checked by noise_fn) the grad V_k vanish and their term is
-    skipped."""
+    skipped. x is read into a contiguous copy, on which the drift and its
+    Jacobian run faster than on the strided view and give the same bits.
+    The step returns a new array, so while every path survives the engine
+    takes it as the block's state in one copy."""
     n = problem.dim_state
     ns = problem.noise_scale
     eye = np.eye(n)
@@ -430,7 +450,7 @@ def _tangent_stepper(problem, delta):
     additive = problem.constants.c1 == 0
 
     def step(z, dB):
-        x = z[:, :n]
+        x = np.ascontiguousarray(z[:, :n])
         amp = eye + delta * problem.drift_jacobian(x)
         if not additive:
             amp = amp + ns * np.einsum("...kij,...k->...ij",

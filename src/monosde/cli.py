@@ -148,12 +148,16 @@ def _series_columns(result, series):
             ("blowups", blowups)]
 
 
-def _stderr_flag(result):
-    """{"stderr_undefined_at": record times} for the times at which fewer
-    than two paths survive, so the stderr columns read nan there; {} when
-    every standard error is defined."""
-    times = result.times[result.n_active < 2]
+def _undefined_flag(times):
+    """{"stderr_undefined_at": times}, or {} when times is empty, so a
+    document with every standard error defined keeps its bytes."""
     return {"stderr_undefined_at": times} if times.size else {}
+
+
+def _stderr_flag(result):
+    """The flag for the record times at which fewer than two paths survive,
+    so the stderr columns read nan there."""
+    return _undefined_flag(result.times[result.n_active < 2])
 
 
 def _run_meta(ctx, problem, scheme, x0):
@@ -245,11 +249,14 @@ def cmd_fig1(ctx):
                       _run_meta(ctx, problem, scheme, x0),
                       _series_columns(res, ser))
             dev, comb = _compare(ser, rser)
+            undefined = ser.times[~np.isfinite(comb)]
             summary[key][label] = {
                 "sup_deviation": float(np.max(dev)),
-                "within_3se": bool(np.all(dev <= 3.0 * comb)),
+                "within_3se": (None if undefined.size
+                               else bool(np.all(dev <= 3.0 * comb))),
                 "first_step_overshoot": float(max(0.0, rser.mean[1] - ser.mean[1])),
                 "n_blowups": res.n_blowups,
+                **_undefined_flag(undefined),
             }
     write_json(ctx.out / "fig1_summary.json", dict(ctx.meta()), {
         "protocol": {"delta": delta, "horizon": horizon, "n_paths": n_paths,
@@ -286,6 +293,7 @@ def cmd_weak_error(ctx):
         "coupled": rep.coupled,
         "n_blowups_curve": rep.n_blowups_curve,
         "n_blowups_ref": rep.n_blowups_ref,
+        **_undefined_flag(rep.stderr_undefined_at),
     })
     return 0
 

@@ -37,11 +37,17 @@ noise the consumer stops reading. A producer that dies raises RuntimeError
 with its exit code; an error of the consumer stops and reaps the producer
 and then propagates unchanged.
 
-Each step takes a block's whole state array, frozen rows included, and
-writes a new state back in place, one column at a time, only for the paths
-that are still active and survive it. A stepper acts row by row, so an
-active path gets the bits it would get alone; a frozen row is stepped from
-its last good state and the result is dropped.
+Each step takes a block's whole state array, frozen rows included. While
+no row of the block has frozen and the step returns a new array, one
+whole-array test, max |y| <= min(blowup_threshold, _FAST_CAP) / (2 sqrt(N))
+over the step's output y, shows that every row survives; the output then
+replaces the state in one copy. Otherwise, and for the rest of the run
+after the first freeze, the new state is written back in place one column
+at a time, only for the paths that are still active and survive the step.
+Both paths give the same bits: a NaN makes the max NaN, so the test fails,
+and the factor 2 leaves room for the rounding of the norm. A stepper acts
+row by row, so an active path gets the bits it would get alone; a frozen
+row is stepped from its last good state and the result is dropped.
 
 Blow-up policy: a path whose next state has a non-finite norm or leaves the
 ball of radius blowup_threshold is frozen at its last good state and
@@ -66,6 +72,7 @@ from .schemes import make_stepper
 
 _FEED_ROWS = 64     # fine rows per window of a fed block
 _FEED_SLOTS = 4     # windows in the ring between a producer and its block
+_FAST_CAP = 1e150   # entries below this have a finite norm at any width N
 
 
 class AllPathsBlewUp(RuntimeError):
@@ -479,6 +486,9 @@ class _BlockRun:
                          for p in run.spec.moment_orders]
         self.x = np.broadcast_to(run.x0, (self.size, run.x0.size)).astype(float).copy()
         self.active = np.ones(self.size, dtype=bool)
+        self.none_frozen = True
+        self.bound = (min(run.spec.blowup_threshold, _FAST_CAP)
+                      / (2.0 * math.sqrt(run.x0.size)))
 
         n_out = run.rec_steps.size
         self.counts = np.zeros(n_out, dtype=np.int64)
@@ -522,16 +532,23 @@ class _BlockRun:
             win = _coarsen(rows[:used], m)
             self.leftover = rows[used:].copy() if used < rows.shape[0] else None
         x, active, stepper = self.x, self.active, self.run.stepper
-        threshold = self.run.spec.blowup_threshold
+        threshold, bound = self.run.spec.blowup_threshold, self.bound
         rec_steps = self.run.rec_steps
         n_out = rec_steps.size
         for i in range(take):
             if win is not None:
                 y = stepper(x, win[i])
-                ok = active & _survivors(y, threshold)
-                for j in range(x.shape[1]):
-                    np.copyto(x[:, j], y[:, j], where=ok)
-                active &= ok
+                # a step that returns x or a view of it keeps the
+                # column-by-column writes of the masked copy
+                if (self.none_frozen and np.abs(y).max() <= bound
+                        and not np.may_share_memory(x, y)):
+                    np.copyto(x, y)
+                else:
+                    ok = active & _survivors(y, threshold)
+                    for j in range(x.shape[1]):
+                        np.copyto(x[:, j], y[:, j], where=ok)
+                    active &= ok
+                    self.none_frozen = self.none_frozen and bool(ok.all())
             self.step_idx += 1
             if self.ptr < n_out and self.step_idx == rec_steps[self.ptr]:
                 self.record(self.ptr)

@@ -280,7 +280,8 @@ def make_modified_fields(problem, delta, config=None):
 
     The returned drift is (F^delta(x) - x)/delta, which agrees with
     U0(F^delta(x)) exactly at the fixed point, so explicit Euler on the
-    returned problem reproduces split-step paths bitwise. Jacobians use the
+    returned problem reproduces split-step paths to within rounding
+    (x + delta*((z - x)/delta) need not round to z). Jacobians use the
     chain rule through grad F^delta; Hessians fall back to differences of
     those Jacobians.
 

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from monosde import cli, engine
+from monosde import analysis, cli, engine
 from monosde.cli import main
 
 
@@ -241,6 +241,7 @@ def test_weak_error_subcommand(tmp_path):
     doc = json.loads((out / "weak_error.json").read_text())
     assert doc["sup_error"] >= 0
     assert doc["coupled"] is True
+    assert "stderr_undefined_at" not in doc
 
 
 @pytest.mark.parametrize("command,text,hooks", [
@@ -453,6 +454,63 @@ def test_single_survivor_flags_undefined_stderr(tmp_path, command, name):
     assert doc["stderr_undefined_at"] == alone
     if command == "simulate":
         assert doc["final"]["stderr"] is None
+
+
+def test_weak_error_flags_undefined_halfwidths(tmp_path):
+    # explicit Euler from 2.8 leaves one of the 3 curve paths from t = 1.5 at
+    # seed 3; a half-width there would count only the reference's standard
+    # error, so it is undefined, and no plateau is decided from it
+    cfg = _write(tmp_path, "we.cfg",
+                 "problem.name = fig1\nscheme.kind = em\nscheme.delta = 0.25\n"
+                 "run.x0 = 2.8\nrun.n_paths = 3\nrun.horizon = 2.0\n"
+                 "run.record_dt = 0.5\n")
+    out = tmp_path / "o"
+    assert main(["weak-error", "--config", cfg, "--seed", "3",
+                 "--out", str(out)]) == 0
+    doc = _strict_json(out / "weak_error.json")
+    assert doc["stderr_undefined_at"] == [1.5, 2.0]
+    assert doc["plateau"] is None and doc["max_halfwidth"] is None
+    _, header, rows = _read_csv(out / "weak_error.csv")
+    hw = {float(r[0]): float(r[header.index("halfwidth")]) for r in rows}
+    assert [t for t, v in hw.items() if not np.isfinite(v)] == [1.5, 2.0]
+
+
+def _undefined_from(compare, start):
+    """compare with the standard errors from record index start on nan, as
+    where fewer than two paths survive."""
+    def undefined(curve, ref):
+        err, se = compare(curve, ref)
+        se = se.copy()
+        se[start:] = np.nan
+        return err, se
+    return undefined
+
+
+def test_fig1_flags_undefined_comparisons(tmp_path, monkeypatch):
+    # a curve whose last comparison has no standard error gets no within_3se
+    monkeypatch.setattr(cli, "_compare", _undefined_from(cli._compare, -1))
+    cfg = _write(tmp_path, "f.cfg", "".join(
+        "%s = %s\n" % kv for kv in _SMALL_RUNS.items() if kv[0][:5] == "fig1."))
+    out = tmp_path / "o"
+    assert main(["fig1", "--config", cfg, "--out", str(out)]) == 0
+    doc = _strict_json(out / "fig1_summary.json")
+    for block in doc["curves"].values():
+        for curve in block.values():
+            assert curve["within_3se"] is None
+            assert curve["stderr_undefined_at"] == [0.5]
+
+
+def test_order_refuses_an_undefined_halfwidth(tmp_path, capsys, monkeypatch):
+    # the order fit weights each sup error by its half-width
+    monkeypatch.setattr(analysis, "_compare",
+                        _undefined_from(analysis._compare, 0))
+    cfg = _write(tmp_path, "o.cfg", "".join(
+        "%s = %s\n" % kv for kv in _SMALL_RUNS.items()) + "scheme.kind = em\n"
+        "order.deltas = [0.1, 0.05, 0.025]\nrun.x0 = 2.0\n")
+    out = tmp_path / "o"
+    assert main(["order", "--config", cfg, "--out", str(out)]) == 4
+    assert "is undefined" in capsys.readouterr().err
+    assert not (out / "order.json").exists()
 
 
 def test_defined_stderr_writes_no_flag(tmp_path):

@@ -360,6 +360,176 @@ def test_freezing_mid_block_matches_per_path_loop(kind, x0, log_margin,
     assert np.all(err <= 1e-12 * scale[live] / n_active[live])
 
 
+def _reference_advance(self, fine, e):
+    """_BlockRun.advance with the per-column masked write-back on every
+    step, as it was before the all-survive path; kept as the oracle for
+    that path."""
+    m_ = self.m
+    take = min(e, self.fine_end) // m_ - self.step_idx
+    win = None
+    if fine is not None and self.wants_noise():
+        rows = fine[:, :self.size]
+        if self.leftover is not None:
+            rows = np.concatenate([self.leftover, rows])
+        used = take * m_
+        win = engine._coarsen(rows[:used], m_)
+        self.leftover = rows[used:].copy() if used < rows.shape[0] else None
+    x, active, stepper = self.x, self.active, self.run.stepper
+    threshold = self.run.spec.blowup_threshold
+    rec_steps = self.run.rec_steps
+    n_out = rec_steps.size
+    for i in range(take):
+        if win is not None:
+            y = stepper(x, win[i])
+            ok = active & engine._survivors(y, threshold)
+            for j in range(x.shape[1]):
+                np.copyto(x[:, j], y[:, j], where=ok)
+            active &= ok
+        self.step_idx += 1
+        if self.ptr < n_out and self.step_idx == rec_steps[self.ptr]:
+            self.record(self.ptr)
+            self.ptr += 1
+
+
+_COUPLED = m.make_coupled_2d(1.0, 1.0)
+_VALUES = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf,
+           "1e200": 1e200, "-1e200": -1e200, "half": 0.5}
+
+
+def _scripted_stepper(mode, growth, events, special):
+    """y = growth * x + dB * (1, -1/2) / 8, then for each event (k, r,
+    values) row r of the k-th step's output is overwritten with the named
+    values (special names the threshold-relative ones); mode returns a new
+    array ("fresh"), the input updated in place ("input"), or a view of the
+    updated input with its rows ("rows") or columns ("cols") reversed."""
+    calls = [0]
+    values_of = dict(_VALUES, **special)
+
+    def step(x, dB):
+        k = calls[0]
+        calls[0] += 1
+        kick = dB[:, :1] * np.array([1.0, -0.5])[:x.shape[1]] / 8.0
+        if mode == "fresh":
+            y = growth * x + kick
+        else:
+            y = x
+            y *= growth
+            y += kick
+        for kk, r, values in events:
+            if kk == k and r < y.shape[0]:
+                y[r] = [values_of[v] for v in values[:y.shape[1]]]
+        return {"fresh": y, "input": y, "rows": y[::-1],
+                "cols": y[:, ::-1]}[mode]
+    return step
+
+
+def _scripted_result(n, x0, n_paths, n_steps, threshold, mode, growth, events,
+                     reference):
+    """One single-block run of _scripted_stepper, through the engine or
+    through _reference_advance: its result, or the partial result when every
+    path blew up. A row of "between" entries has its norm between the
+    all-survive bound and the threshold; a row of "corner" entries has each
+    entry inside the threshold and, at N = 2, its norm outside."""
+    problem = FIG1 if n == 1 else _COUPLED
+    finite = math.isfinite(threshold)
+    special = {"between": 0.9 * threshold / math.sqrt(n) if finite else 1e160,
+               "corner": 0.9 * threshold if finite else 1e200}
+    spec = m.EnsembleSpec(x0 * np.array([1.0, 0.5])[:n], n_paths,
+                          n_steps * 0.125, seed=3, blowup_threshold=threshold,
+                          moment_orders=(1, 2))
+    run = engine._prepare_run(problem, m.SchemeConfig("em", 0.125), spec,
+                              [m.make_observable("identity")])
+    run = dataclasses.replace(
+        run, stepper=_scripted_stepper(mode, growth, events, special))
+    advance = _reference_advance if reference else engine._BlockRun.advance
+    with mock.patch.object(engine._BlockRun, "advance", advance), \
+            np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return engine._simulate([run])[0]
+        except m.AllPathsBlewUp as exc:
+            return exc.result
+
+
+_EVENT_VALUES = st.sampled_from(sorted(_VALUES) + ["between", "corner"])
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.sampled_from([1, 2]), x0=st.floats(-2.0, 2.0),
+       n_paths=st.integers(1, 40), n_steps=st.integers(1, 30),
+       threshold=st.sampled_from([10.0, 1e12, math.inf]),
+       mode=st.sampled_from(["fresh", "input", "rows", "cols"]),
+       growth=st.floats(0.5, 1.3),
+       events=st.lists(st.tuples(st.integers(0, 29), st.integers(0, 39),
+                                 st.lists(_EVENT_VALUES, min_size=2,
+                                          max_size=2)), max_size=3))
+@example(n=1, x0=1.0, n_paths=8, n_steps=20, threshold=10.0, mode="input",
+         growth=1.0, events=[])
+@example(n=2, x0=1.0, n_paths=8, n_steps=20, threshold=10.0, mode="rows",
+         growth=1.0, events=[(4, 2, ["between", "between"])])
+@example(n=2, x0=0.5, n_paths=8, n_steps=20, threshold=10.0, mode="cols",
+         growth=1.1, events=[])
+@example(n=1, x0=1.0, n_paths=16, n_steps=30, threshold=10.0, mode="fresh",
+         growth=1.1, events=[])
+@example(n=2, x0=1.0, n_paths=8, n_steps=10, threshold=1e12, mode="fresh",
+         growth=1.0, events=[(3, 1, ["nan", "inf"]), (5, 4, ["-inf", "half"])])
+@example(n=1, x0=1.0, n_paths=8, n_steps=10, threshold=1e12, mode="fresh",
+         growth=1.0, events=[(2, 1, ["nan", "nan"]), (2, 3, ["inf", "inf"]),
+                             (6, 5, ["-inf", "-inf"])])
+@example(n=1, x0=1.0, n_paths=8, n_steps=10, threshold=1e12, mode="fresh",
+         growth=1.0, events=[(3, 2, ["-inf", "-inf"])])
+@example(n=1, x0=1.0, n_paths=8, n_steps=10, threshold=10.0, mode="fresh",
+         growth=1.0, events=[(2, 0, ["between", "between"])])
+@example(n=2, x0=1.0, n_paths=8, n_steps=10, threshold=10.0, mode="fresh",
+         growth=1.0, events=[(2, 0, ["corner", "corner"])])
+@example(n=1, x0=1.0, n_paths=4, n_steps=6, threshold=math.inf, mode="fresh",
+         growth=1.0, events=[(1, 2, ["1e200", "1e200"])])
+@example(n=2, x0=1.0, n_paths=4, n_steps=6, threshold=math.inf, mode="fresh",
+         growth=1.0, events=[(1, 2, ["1e200", "half"])])
+def test_all_survive_path_equals_masked_write_back(n, x0, n_paths, n_steps,
+                                                   threshold, mode, growth,
+                                                   events):
+    # the whole-array test may take a step's output outright only where the
+    # per-column masked copy would keep every row: steppers that return
+    # their input or a view of it, freezes after an all-active stretch,
+    # non-finite rows, rows between the bound and the threshold and rows
+    # whose entries lie inside the threshold but whose norm does not all
+    # give the masked copy's bits
+    args = (n, x0, n_paths, n_steps, threshold, mode, growth, events)
+    _assert_results_equal(_scripted_result(*args, reference=False),
+                          _scripted_result(*args, reference=True))
+
+
+@pytest.mark.parametrize("n,blowups", [(1, 0), (2, 1)])
+def test_infinite_threshold_row_at_1e200(n, blowups):
+    # the N >= 2 norm of a 1e200 row overflows, so it freezes even under an
+    # infinite threshold; one component is its abs and survives
+    args = (n, 1.0, 4, 6, math.inf, "fresh", 1.0,
+            [(1, 2, ["1e200", "1e200"])])
+    res = _scripted_result(*args, reference=False)
+    assert res.n_blowups == blowups
+    _assert_results_equal(res, _scripted_result(*args, reference=True))
+
+
+def test_calm_block_skips_the_survivor_guard(monkeypatch):
+    # no row freezes and none comes near the threshold: the guard never runs
+    # until a step fails the whole-array test, and after the first freeze it
+    # runs on every step
+    survivors = engine._survivors
+    calls = []
+
+    def counting(y, threshold):
+        calls.append(threshold)
+        return survivors(y, threshold)
+
+    monkeypatch.setattr(engine, "_survivors", counting)
+    m.simulate_ensemble(FIG1, TTE, m.EnsembleSpec(1.0, 64, 2.0, seed=1))
+    assert not calls
+    res = _scripted_result(1, 1.0, 8, 30, 10.0, "fresh", 1.0,
+                           [(4, 0, ["nan", "nan"])], reference=False)
+    assert res.n_blowups == 1
+    assert len(calls) == 30 - 4
+
+
 
 class _CountingFeed(engine._Feed):
     made = 0

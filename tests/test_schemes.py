@@ -3,7 +3,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import monosde as m
@@ -66,6 +66,54 @@ def test_em_modified_equals_splitstep_pathwise():
         x = a(x, dB)
         y = b(y, dB)
         np.testing.assert_allclose(y, x, atol=1e-10)
+
+
+_EPS = np.finfo(float).eps
+_ABS_TOL = m.ImplicitSolveConfig().abs_tol
+_IDENTITY_CASES = dict(delta=st.floats(0.005, 0.25), x0=st.floats(-1e3, 1e3),
+                       b=st.floats(0.0, 2.0), seed=st.integers(0, 2**32 - 1))
+
+
+def _increments(seed, delta, shape):
+    return np.random.default_rng(seed).standard_normal(shape) * np.sqrt(delta)
+
+
+@settings(max_examples=100, deadline=None)
+@given(**_IDENTITY_CASES)
+def test_splitstep_and_em_modified_agree_to_rounding(delta, x0, b, seed):
+    # both steps take the same z = F_delta(x) and the same noise at z; only
+    # x + delta*((z - x)/delta) against z differs, by four roundings at the
+    # scale of |x| + |z|, and the shared noise term is added last, rounding
+    # once more at the scale of the output
+    problem = m.make_cubic_1d(1.0, b)
+    split = m.make_stepper(problem, m.SchemeConfig("splitstep", delta))
+    emmod = m.make_stepper(problem, m.SchemeConfig("em-modified", delta))
+    x = np.full((16, 1), x0)
+    dB = _increments(seed, delta, x.shape)
+    z = m.solve_fdelta(problem, x, delta)
+    y = split(x, dB)
+    bound = 4.0 * _EPS * (np.abs(x) + np.abs(z) + np.abs(y))
+    assert np.all(np.abs(emmod(x, dB) - y) <= bound)
+
+
+@settings(max_examples=100, deadline=None)
+@given(**_IDENTITY_CASES)
+def test_implicit_euler_is_fdelta_of_the_shifted_chain(delta, x0, b, seed):
+    # implicit Euler from x0 equals F_delta of the split-step chain from
+    # x0 - delta*U0(x0); each F_delta solve meets its residual tolerance
+    # abs_tol * max(1, |state|) and F_delta does not expand (monotone drift),
+    # so the gap grows by a few tolerances per step
+    problem = m.make_cubic_1d(1.0, b)
+    split = m.make_stepper(problem, m.SchemeConfig("splitstep", delta))
+    impl = m.make_stepper(problem, m.SchemeConfig("implicit", delta))
+    y = np.full((16, 1), x0)
+    xs = y - delta * problem.drift(y)
+    budget = np.zeros_like(y)
+    for dB in _increments(seed, delta, (5,) + y.shape):
+        budget += 10.0 * _ABS_TOL * np.maximum(1.0, np.abs(y))
+        y = impl(y, dB)
+        xs = split(xs, dB)
+        assert np.all(np.abs(y - m.solve_fdelta(problem, xs, delta)) <= budget)
 
 
 @pytest.mark.parametrize("problem,solves", [(FIG1, 1),
