@@ -14,7 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import EnsembleSpec, _prepare_run, _simulate, simulate_ensemble
+from .engine import (EnsembleSpec, _prepare_run, _simulate, _start,
+                     simulate_ensemble)
 from .noise import _whole_multiple
 from .problems import Observable
 from .schemes import SchemeConfig, epsilon_delta, make_stepper, select_alpha
@@ -33,7 +34,6 @@ class ReferenceConfig:
     kind: str = "tamed"
     delta: float = 5e-4
     n_paths: int = 10000
-    alpha: Optional[float] = None
 
 
 @dataclass
@@ -183,16 +183,15 @@ def _coupled_runs(problem, reference, observable, horizon, seed, threads,
     Returns:
         One (curve result, reference result) pair per curve.
     """
-    ref_scheme = SchemeConfig(reference.kind, reference.delta,
-                              alpha=reference.alpha)
+    ref_scheme = SchemeConfig(reference.kind, reference.delta)
     runs = []
     ref_index = {}
     pairs = []
     for scheme, x0, n_paths, rec in curves:
         spec_c = EnsembleSpec(x0, n_paths, horizon, seed=seed,
                               fine_delta=reference.delta, record_dt=rec,
-                              threads=threads)
-        key = (tuple(np.atleast_1d(np.asarray(x0, dtype=float))), rec)
+                              threads=threads, moment_orders=())
+        key = (tuple(_start(x0, problem.dim_state)), rec)
         if key not in ref_index:
             ref_index[key] = len(runs)
             runs.append((ref_scheme, replace(spec_c, n_paths=reference.n_paths),
@@ -372,7 +371,7 @@ def local_weak_error_profile(problem, scheme, states, deltas, observable,
         at the state of smallest |x|), each None when underdetermined.
     """
     deltas = sorted(float(v) for v in deltas)
-    states = [np.atleast_1d(np.asarray(s, dtype=float)) for s in states]
+    states = [_start(s, problem.dim_state) for s in states]
     cells = {}
     for j, delta in enumerate(deltas):
         one = SchemeConfig(scheme.kind, delta, alpha=scheme.alpha,
@@ -525,8 +524,7 @@ def ses_probe(problem, f, initial_points, horizon, n_paths, fine_delta,
             has a non-finite entry.
     """
     n = problem.dim_state
-    points = [np.broadcast_to(np.atleast_1d(np.asarray(p, dtype=float)), (n,))
-              for p in initial_points]
+    points = [_start(p, n) for p in initial_points]
     if not points:
         raise ValueError("need at least one initial point")
     if n_paths < 2:
@@ -554,23 +552,17 @@ def ses_probe(problem, f, initial_points, horizon, n_paths, fine_delta,
             "(threshold %g on the stacked state); a mean over the survivors "
             "is biased" % (k, res.n_blowups, n_paths, res.blowup_threshold))
     times = res.times
-    curves = []
-    for s in range(k):
-        series = [res.observables[obs.name]
-                  for obs in observables[s * n:(s + 1) * n]]
-        curves.append((np.stack([c.mean for c in series], axis=-1),
-                       np.stack([c.stderr for c in series], axis=-1)))
+    # (time, start, component) means and standard errors of J_s^T grad f
+    series = [res.observables[obs.name] for obs in observables]
+    mean = np.stack([c.mean for c in series], axis=-1).reshape(-1, k, n)
+    se = np.stack([c.stderr for c in series], axis=-1).reshape(-1, k, n)
 
-    per_point = []
-    for p, (mean, se) in zip(points, curves):
-        norm = np.linalg.norm(mean, axis=-1)
-        nse = np.sqrt(np.sum(se**2, axis=-1))
-        per_point.append((p, norm, nse))
-
-    stack = np.stack([c[1] for c in per_point])
-    sel = np.argmax(stack, axis=0)
-    grad_norm = stack[sel, np.arange(stack.shape[1])]
-    grad_se = np.stack([c[2] for c in per_point])[sel, np.arange(stack.shape[1])]
+    p = len(points)
+    norms = np.linalg.norm(mean[:, :p], axis=-1)
+    norm_se = np.sqrt(np.sum(se[:, :p] ** 2, axis=-1))
+    per_point = [(x, norms[:, s], norm_se[:, s]) for s, x in enumerate(points)]
+    sup = (np.arange(times.size), np.argmax(norms, axis=1))
+    grad_norm, grad_se = norms[sup], norm_se[sup]
     bad = int(np.sum(~np.isfinite(grad_norm)))
     if bad:
         raise NonFiniteEstimate(
@@ -581,20 +573,18 @@ def ses_probe(problem, f, initial_points, horizon, n_paths, fine_delta,
     detected = (gamma is not None and used >= 3
                 and gamma > max(0.05, 2.0 * (gamma_se or 0.0)))
 
-    second = second_se = None
-    gamma2 = None
+    def frobenius(a):
+        # a is (time, j, i); its squares are summed as a C-contiguous
+        # (time, i, j) array, in one fixed order
+        a = np.ascontiguousarray(np.swapaxes(a, 1, 2))
+        return np.sqrt(np.sum(a**2, axis=(-2, -1)))
+
+    second = second_se = gamma2 = None
     if second_order:
-        cols = []
-        ses = []
-        for j in range(n):
-            k = len(points) + 2 * j
-            (mp, sp), (mm, sm) = curves[k], curves[k + 1]
-            cols.append((mp - mm) / (2.0 * bump))
-            ses.append(np.sqrt(sp**2 + sm**2) / (2.0 * bump))
-        hess = np.stack(cols, axis=-1)          # (n_rec+1, n, n)
-        hess_se = np.stack(ses, axis=-1)
-        second = np.sqrt(np.sum(hess**2, axis=(-2, -1)))
-        second_se = np.sqrt(np.sum(hess_se**2, axis=(-2, -1)))
+        # start p + 2j is x0 + bump e_j and start p + 2j + 1 is x0 - bump e_j
+        second = frobenius((mean[:, p::2] - mean[:, p + 1::2]) / (2.0 * bump))
+        second_se = frobenius(np.sqrt(se[:, p::2] ** 2 + se[:, p + 1::2] ** 2)
+                              / (2.0 * bump))
         gamma2, _, _ = _fit_decay(times, second, second_se)
 
     return SesProbeReport(
@@ -711,7 +701,7 @@ def moment_recursion_audit(problem, scheme, result, x0, power=2):
     eps = epsilon_delta(cst, alpha, delta)
 
     series = result.moments[power]
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    x0 = _start(x0, problem.dim_state)
     base = float(np.linalg.norm(x0)) ** power
     empirical_sup = float(np.max(series.mean))
     fitted_c = max(0.0, empirical_sup - base)
@@ -817,7 +807,7 @@ def check_assumptions(problem, radius=10.0, samples=400, seed=0, tol=1e-9):
     conditions = []
 
     def add(condition, description, constant, margins, where, passed=None,
-            skipped=False, note=""):
+            note=""):
         margins = np.asarray(margins, dtype=float)
         k = int(np.argmin(margins))
         worst = float(margins[k])
@@ -825,20 +815,29 @@ def check_assumptions(problem, radius=10.0, samples=400, seed=0, tol=1e-9):
             passed = bool(worst >= -tol * (1.0 + abs(worst)))
         conditions.append(ConditionResult(
             condition=condition, description=description, constant=constant,
-            worst_margin=worst,
-            worst_x=np.asarray(where)[k] if where is not None else None,
-            passed=bool(passed) and not skipped, skipped=skipped, note=note))
+            worst_margin=worst, worst_x=np.asarray(where)[k],
+            passed=bool(passed), note=note))
+
+    def skip(condition, description, note, where=pts):
+        conditions.append(ConditionResult(
+            condition=condition, description=description, constant=None,
+            worst_margin=0.0, worst_x=where[0], passed=False, skipped=True,
+            note=note))
+
+    def gamma(condition, description, gm, **constant):
+        """A row whose margin gm is the largest admissible gamma."""
+        add(condition, description,
+            dict(constant, gamma_max=float(np.min(gm))), gm, pts,
+            passed=bool(np.min(gm) > 0),
+            note="margin is the largest admissible gamma")
 
     # --- section 2 conditions -------------------------------------------
     if lam is not None:
         add("2.6", "v^T grad U0 v <= -lambda(x)|v|^2", None,
             -lam - eig_max, pts,
             passed=bool(np.all(eig_max <= -lam + tol * (1.0 + np.abs(lam)))))
-        gm = lam - n * v_deriv
-        add("2.7", "sup_i sum_k |d_i V_k|^2 <= (lambda - gamma)/N",
-            {"gamma_max": float(np.min(gm))}, gm, pts,
-            passed=bool(np.min(gm) > 0),
-            note="margin is the largest admissible gamma")
+        gamma("2.7", "sup_i sum_k |d_i V_k|^2 <= (lambda - gamma)/N",
+              lam - n * v_deriv)
         if cst.alpha_ses is not None:
             add("2.10", "sum_{i,j} |d_i d_j U0| <= alpha (1 + lambda)",
                 {"alpha": cst.alpha_ses},
@@ -846,33 +845,26 @@ def check_assumptions(problem, radius=10.0, samples=400, seed=0, tol=1e-9):
                 note="Hessian growth relative to 1 + lambda")
         else:
             req = float(np.max(hess_sum / (1.0 + lam)))
-            add("2.10", "sum_{i,j} |d_i d_j U0| <= alpha (1 + lambda)", None,
-                [0.0], pts[:1], skipped=True,
-                note="no alpha registered; grid needs alpha >= %.6g" % req)
+            skip("2.10", "sum_{i,j} |d_i d_j U0| <= alpha (1 + lambda)",
+                 "no alpha registered; grid needs alpha >= %.6g" % req)
         if cst.rho is not None:
-            gm = cst.rho * lam - n * v_deriv
-            add("2.11", "sup_i sum_k |d_i V_k|^2 <= (rho lambda - gamma)/N",
-                {"rho": cst.rho, "gamma_max": float(np.min(gm))}, gm, pts,
-                passed=bool(np.min(gm) > 0),
-                note="margin is the largest admissible gamma")
+            gamma("2.11", "sup_i sum_k |d_i V_k|^2 <= (rho lambda - gamma)/N",
+                  cst.rho * lam - n * v_deriv, rho=cst.rho)
             # sup_{i,j} sum_k |V_k| |d_i d_j V_k|
             vmag = np.linalg.norm(v_pts, axis=-1)            # (P, d)
             dh_norm = np.linalg.norm(np.moveaxis(dh_pts, -3, -1), axis=-1)
             lhs = np.max(np.sum(vmag[..., None, None] * dh_norm, axis=-3),
                          axis=(-2, -1))
-            gm = cst.rho * lam - lhs
-            add("2.12", "sup_{i,j} sum_k |V_k||d_i d_j V_k| <= rho lambda - gamma",
-                {"rho": cst.rho, "gamma_max": float(np.min(gm))}, gm, pts,
-                passed=bool(np.min(gm) > 0),
-                note="margin is the largest admissible gamma")
+            gamma("2.12",
+                  "sup_{i,j} sum_k |V_k||d_i d_j V_k| <= rho lambda - gamma",
+                  cst.rho * lam - lhs, rho=cst.rho)
     else:
         for cid, desc in (("2.6", "v^T grad U0 v <= -lambda|v|^2"),
                           ("2.7", "diffusion-derivative bound"),
                           ("2.10", "Hessian growth bound"),
                           ("2.11", "rho-scaled diffusion-derivative bound"),
                           ("2.12", "diffusion second-derivative bound")):
-            add(cid, desc, None, [0.0], pts[:1], skipped=True,
-                note="no lambda_fn registered")
+            skip(cid, desc, "no lambda_fn registered")
 
     for name, fn in problem.extra_conditions.items():
         add(name, "registered extra condition (margin >= 0)", None,
@@ -885,9 +877,8 @@ def check_assumptions(problem, radius=10.0, samples=400, seed=0, tol=1e-9):
             {"c0": cst.drift_lip},
             cst.drift_lip * dn - np.linalg.norm(du, axis=-1), xs)
     else:
-        add("3.5a", "|U0(x)-U0(y)| <= c0 |x-y| (global Lipschitz c0)", None,
-            [0.0], xs[:1], skipped=True,
-            note="no global drift Lipschitz constant registered")
+        skip("3.5a", "|U0(x)-U0(y)| <= c0 |x-y| (global Lipschitz c0)",
+             "no global drift Lipschitz constant registered", where=xs)
     v_x = problem.diffusion(xs)
     v_y = problem.diffusion(ys)
     vdiff = np.sum(np.linalg.norm(v_x - v_y, axis=-1), axis=-1)
@@ -912,8 +903,7 @@ def check_assumptions(problem, radius=10.0, samples=400, seed=0, tol=1e-9):
             {"beta": cst.beta_ses},
             np.minimum(-lam - eig_max, cst.beta_ses * lam + eig_min), pts)
     else:
-        add("4.10", "two-sided Jacobian bound", None, [0.0], pts[:1],
-            skipped=True, note="no beta registered")
+        skip("4.10", "two-sided Jacobian bound", "no beta registered")
     if lam is not None and cst.alpha_mod is not None:
         add("4.11", "sum_{i,j} |d_i d_j U0| <= alpha lambda",
             {"alpha": cst.alpha_mod}, cst.alpha_mod * lam - hess_sum, pts)
@@ -922,10 +912,9 @@ def check_assumptions(problem, radius=10.0, samples=400, seed=0, tol=1e-9):
         if lam is not None:
             with np.errstate(divide="ignore", invalid="ignore"):
                 req = float(np.nanmax(np.where(lam > 0, hess_sum / lam, np.nan)))
-        add("4.11", "sum_{i,j} |d_i d_j U0| <= alpha lambda", None, [0.0],
-            pts[:1], skipped=True,
-            note="no alpha registered" if req is None
-            else "no alpha registered; grid needs alpha >= %.6g" % req)
+        skip("4.11", "sum_{i,j} |d_i d_j U0| <= alpha lambda",
+             "no alpha registered" if req is None
+             else "no alpha registered; grid needs alpha >= %.6g" % req)
     if lam is not None and cst.beta_ses is not None and cst.rho is not None:
         fro_sq = np.sum(dj_pts**2, axis=(-2, -1))       # (P, d)
         lhs = np.sum(fro_sq, axis=-1)
@@ -943,13 +932,12 @@ def check_assumptions(problem, radius=10.0, samples=400, seed=0, tol=1e-9):
                 cst.rho / (k_hat * cst.beta_ses**2) * lam - lhs, pts,
                 note="K_hat = sqrt(K) bounds sup_k |V_k|")
         else:
-            add("4.13", "diffusion second-derivative bound for the modified SDE",
-                None, [0.0], pts[:1], skipped=True,
-                note="needs alpha_mod and K > 0")
+            skip("4.13", "diffusion second-derivative bound for the modified SDE",
+                 "needs alpha_mod and K > 0")
     else:
         for cid in ("4.12", "4.13"):
-            add(cid, "modified-SDE diffusion bound", None, [0.0], pts[:1],
-                skipped=True, note="needs lambda_fn, beta and rho")
+            skip(cid, "modified-SDE diffusion bound",
+                 "needs lambda_fn, beta and rho")
 
     # --- section 5 conditions (tamed framework) ---------------------------
     add("5.1", "<U0(x), x> <= -b0 |x|^(q+2) + b1",

@@ -24,7 +24,7 @@ from .analysis import (ReferenceConfig, _compare, _coupled_runs,
                        ses_probe, weak_error_curve)
 from .config import (ConfigError, config_hash, get_value, load_config,
                      require_positive)
-from .engine import AllPathsBlewUp, EnsembleSpec, simulate_ensemble
+from .engine import AllPathsBlewUp, EnsembleSpec, _start, simulate_ensemble
 from .implicit_map import DeltaTooLarge, NonConvergence
 from .noise import _whole_multiple
 from .output import standard_meta, write_csv, write_json
@@ -94,11 +94,15 @@ def _observable_from_cfg(cfg, default="identity"):
         raise ConfigError("config key 'observable': %s" % exc)
 
 
-def _x0_from_cfg(cfg, default=1.0):
+def _x0_from_cfg(cfg, problem, default=1.0):
     raw = get_value(cfg, "run.x0", default)
     x0 = np.atleast_1d(np.asarray(raw, dtype=float))
     if not np.all(np.isfinite(x0)):
         raise ConfigError("config key 'run.x0' must be finite")
+    try:
+        _start(x0, problem.dim_state)
+    except ValueError as exc:
+        raise ConfigError("config key 'run.x0': %s" % exc)
     return x0
 
 
@@ -173,36 +177,44 @@ def _run_meta(ctx, problem, scheme, x0):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_simulate(ctx):
+def _run_ensemble(ctx, record_default, observable=None):
+    """Read and run the run.* ensemble of simulate and moments, with the
+    observable named by default when one is given, and write its
+    moments_p<p>.csv files; returns (problem, scheme, spec, result, meta)."""
     cfg = ctx.cfg
     problem = _problem_from_cfg(cfg)
     scheme = _scheme_from_cfg(cfg)
-    obs = _observable_from_cfg(cfg)
-    x0 = _x0_from_cfg(cfg)
+    observables = ([] if observable is None
+                   else [_observable_from_cfg(cfg, default=observable)])
+    x0 = _x0_from_cfg(cfg, problem)
     n_paths, horizon = _run_ints(cfg)
-    record_dt = get_value(cfg, "run.record_dt", 0.25)
+    record_dt = get_value(cfg, "run.record_dt", record_default)
     record_dt = None if record_dt is None else float(record_dt)
     _require_grid(horizon, record_dt, scheme.delta, _RUN_GRID)
     orders = tuple(get_value(cfg, "run.moment_orders", [1, 2, 4]))
     spec = EnsembleSpec(x0, n_paths, horizon, seed=ctx.seed,
                         record_dt=record_dt, threads=ctx.threads,
                         moment_orders=orders)
-    result = simulate_ensemble(problem, scheme, spec, [obs])
+    result = simulate_ensemble(problem, scheme, spec, observables)
     meta = _run_meta(ctx, problem, scheme, x0)
-    series = result.observables[obs.name]
-    write_csv(ctx.out / ("series_%s.csv" % obs.name), meta,
-              _series_columns(result, series))
     for p in orders:
-        mseries = result.moments[p]
         write_csv(ctx.out / ("moments_p%s.csv" % _fmt(p)), meta,
-                  _series_columns(result, mseries))
+                  _series_columns(result, result.moments[p]))
+    return problem, scheme, spec, result, meta
+
+
+def cmd_simulate(ctx):
+    *_, result, meta = _run_ensemble(ctx, 0.25, observable="identity")
+    (name, series), = result.observables.items()
+    write_csv(ctx.out / ("series_%s.csv" % name), meta,
+              _series_columns(result, series))
     stderr = float(series.stderr[-1])
     write_json(ctx.out / "run.json", dict(meta), {
         "n_paths": result.n_paths,
         "n_blowups": result.n_blowups,
         "final": {
             "time": float(series.times[-1]),
-            obs.name: float(series.mean[-1]),
+            name: float(series.mean[-1]),
             "stderr": stderr if np.isfinite(stderr) else None,
         },
         **_stderr_flag(result),
@@ -272,7 +284,7 @@ def cmd_weak_error(ctx):
     problem = _problem_from_cfg(cfg)
     scheme = _scheme_from_cfg(cfg)
     obs = _observable_from_cfg(cfg, default="arctan")
-    x0 = _x0_from_cfg(cfg)
+    x0 = _x0_from_cfg(cfg, problem)
     n_paths, horizon = _run_ints(cfg)
     record_dt = get_value(cfg, "run.record_dt", 0.25, float)
     reference = _reference_from_cfg(cfg, 5e-4, 10000)
@@ -307,7 +319,7 @@ def cmd_order(ctx):
     if len(deltas) < 3:
         raise ConfigError("need >= 3 deltas (config key 'order.deltas')")
     obs = _observable_from_cfg(cfg)
-    x0 = _x0_from_cfg(cfg)
+    x0 = _x0_from_cfg(cfg, problem)
     n_paths, horizon = _run_ints(cfg)
     record_dt = get_value(cfg, "run.record_dt", 0.25, float)
 
@@ -381,32 +393,18 @@ def cmd_local_error(ctx):
 
 
 def cmd_moments(ctx):
-    cfg = ctx.cfg
-    problem = _problem_from_cfg(cfg)
-    scheme = _scheme_from_cfg(cfg)
-    x0 = _x0_from_cfg(cfg)
-    n_paths, horizon = _run_ints(cfg)
-    orders = tuple(get_value(cfg, "run.moment_orders", [1, 2, 4]))
-    record_dt = get_value(cfg, "run.record_dt", None)
-    record_dt = None if record_dt is None else float(record_dt)
-    _require_grid(horizon, record_dt, scheme.delta, _RUN_GRID)
-    spec = EnsembleSpec(x0, n_paths, horizon, seed=ctx.seed,
-                        record_dt=record_dt, threads=ctx.threads,
-                        moment_orders=orders)
-    result = simulate_ensemble(problem, scheme, spec)
-    meta = _run_meta(ctx, problem, scheme, x0)
-    payload = {"n_blowups": result.n_blowups, "sup": {},
+    problem, scheme, spec, result, meta = _run_ensemble(ctx, None)
+    payload = {"n_blowups": result.n_blowups,
+               "sup": {"p%s" % _fmt(p): float(np.nanmax(result.moments[p].mean))
+                       for p in spec.moment_orders},
                **_stderr_flag(result)}
-    for p in orders:
-        series = result.moments[p]
-        write_csv(ctx.out / ("moments_p%s.csv" % _fmt(p)), meta,
-                  _series_columns(result, series))
-        payload["sup"]["p%s" % _fmt(p)] = float(np.nanmax(series.mean))
     if scheme.kind == "tte":
-        if record_dt is not None or 2 not in orders:  # audit reads every step
+        # the audit reads |X|^2 at every step
+        if spec.record_dt is not None or 2 not in spec.moment_orders:
             result = simulate_ensemble(problem, scheme, replace(
                 spec, record_dt=None, moment_orders=(2,)))
-        payload["audit"] = moment_recursion_audit(problem, scheme, result, x0)
+        payload["audit"] = moment_recursion_audit(problem, scheme, result,
+                                                  spec.x0)
     write_json(ctx.out / "moments.json", dict(meta), payload)
     return 0
 

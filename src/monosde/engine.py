@@ -90,12 +90,12 @@ class EnsembleSpec:
 
     record_dt None means record at every coarse step; otherwise it must be an
     integer multiple of the scheme step. x0 is a scalar or a length-N vector
-    shared by all paths. seed and fine_delta (None: the scheme step) name the
-    Brownian lattice, and the scheme step must be a whole multiple of
-    fine_delta; runs that share both see the same Brownian paths. Each
-    moment order p is recorded as the mean of the observable |x|^p. threads
-    caps the worker processes of a pass at the usable cores; it never
-    changes a result.
+    shared by all paths; a scalar or one-entry x0 sets every component.
+    seed and fine_delta (None: the scheme step) name the Brownian lattice,
+    and the scheme step must be a whole multiple of fine_delta; runs that
+    share both see the same Brownian paths. Each moment order p is recorded
+    as the mean of the observable |x|^p. threads caps the worker processes
+    of a pass at the usable cores; it never changes a result.
     """
 
     x0: object
@@ -150,6 +150,15 @@ class _Run:
     x0: np.ndarray
 
 
+def _start(x0, n):
+    """x0 as a start of n components: a scalar or one-entry x0 sets every
+    component; any shape but those and (n,) raises ValueError."""
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    if x0.shape not in ((1,), (n,)):
+        raise ValueError("x0 must be a scalar or length-%d vector" % n)
+    return np.broadcast_to(x0, (n,))
+
+
 def _prepare_run(problem, scheme, spec, observables=()):
     delta = scheme.delta
     fine = delta if spec.fine_delta is None else spec.fine_delta
@@ -160,10 +169,7 @@ def _prepare_run(problem, scheme, spec, observables=()):
     plan = NoisePlan(spec.seed, spec.n_paths, problem.dim_noise,
                      fine_delta=fine, horizon=spec.horizon, coarsen_factor=m)
 
-    n = problem.dim_state
-    x0 = np.atleast_1d(np.asarray(spec.x0, dtype=float))
-    if x0.shape != (n,):
-        raise ValueError("x0 must be a scalar or length-%d vector" % n)
+    x0 = _start(spec.x0, problem.dim_state)
     n_coarse = plan.n_coarse_steps
     k_rec = (1 if spec.record_dt is None
              else _whole_multiple(spec.record_dt, delta))

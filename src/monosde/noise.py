@@ -83,10 +83,6 @@ class NoisePlan:
         return self.n_fine_steps // self.coarsen_factor
 
     @property
-    def coarse_delta(self):
-        return self.fine_delta * self.coarsen_factor
-
-    @property
     def n_blocks(self):
         return (self.n_paths + BLOCK_PATHS - 1) // BLOCK_PATHS
 
@@ -135,11 +131,12 @@ def _fill(out, gens, columns, skip, scale):
         np.multiply(z[:, :hi - lo], scale, out=out[:, lo:hi])
 
 
-def _windows(end, rows):
-    """(s, e) windows over fine steps 0..end-1: each ends rows steps after
-    its start, at the end of its chunk or at end, whichever comes first."""
+def _windows(end, rows, start=0):
+    """(s, e) windows over fine steps start..end-1: each ends rows steps
+    after its start, at the end of its chunk or at end, whichever comes
+    first."""
     out = []
-    s = 0
+    s = start
     while s < end:
         e = min(s + rows, (s // CHUNK_STEPS + 1) * CHUNK_STEPS, end)
         out.append((s, e))
@@ -153,7 +150,7 @@ def _fine_rows(plan, block_index, windows):
 
     Each chunk's keys are drawn from one generator each, slab after slab
     (steps of the chunk before the first window are drawn and dropped), so
-    every slab equals the same rows of fine_increments_block bit for bit.
+    every slab equals the same rows of a whole-chunk draw bit for bit.
     """
     columns = _key_columns(plan, block_index)
     size = plan.block_size(block_index)
@@ -191,26 +188,19 @@ def fine_increments_block(plan, block_index, step_start, n_steps):
         n_steps: number of fine steps to return.
 
     Returns:
-        Array (n_steps, block_size, d) of N(0, fine_delta) increments.
+        Array (n_steps, block_size, d) of N(0, fine_delta) increments, read
+        through _fine_rows one chunk at a time.
     """
     if block_index < 0 or block_index >= plan.n_blocks:
         raise IndexError("block_index out of range")
     if step_start < 0 or step_start + n_steps > plan.n_fine_steps:
         raise IndexError("fine step range out of range")
-    columns = _key_columns(plan, block_index)
-    scale = math.sqrt(plan.fine_delta)
-    out = np.empty((n_steps, plan.block_size(block_index), plan.d))
-    s = step_start
-    end = step_start + n_steps
-    while s < end:
-        chunk = s // CHUNK_STEPS
-        take = min((chunk + 1) * CHUNK_STEPS, end) - s
-        gens = [_chunk_generator(plan.master_seed, key, chunk)
-                for key, _, _ in columns]
-        _fill(out[s - step_start:s - step_start + take], gens, columns,
-              s % CHUNK_STEPS, scale)
-        s += take
-    return out
+    slabs = list(_fine_rows(plan, block_index,
+                            _windows(step_start + n_steps, CHUNK_STEPS,
+                                     start=step_start)))
+    if not slabs:
+        return np.empty((0, plan.block_size(block_index), plan.d))
+    return slabs[0] if len(slabs) == 1 else np.concatenate(slabs)
 
 
 def increments_for(plan, path_index, level="fine"):

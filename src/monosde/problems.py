@@ -198,6 +198,25 @@ def _install_fd_derivatives(problem):
 # ---------------------------------------------------------------------------
 # shipped example problems
 
+def _constant(value):
+    """A field constant in x: value as floats, broadcast over the batch axes
+    of x into a fresh array."""
+    value = np.asarray(value, dtype=float)
+
+    def field(x):
+        return np.broadcast_to(value, np.shape(x)[:-1] + value.shape).copy()
+
+    return field
+
+
+def _zeros(*shape):
+    """A vanishing derivative: zeros of the given shape per state."""
+    def field(x):
+        return np.zeros(np.shape(x)[:-1] + shape)
+
+    return field
+
+
 def make_cubic_1d(a, b, noise_scale=_SQRT2):
     """1-D problem with U0(x) = -x^3 - a*x and V(x) = b*arctan(x).
 
@@ -270,20 +289,10 @@ def make_fig1():
     with factor 1 (not sqrt(2)). Stationary density ~ exp(-(x^4/2 + x^2)).
     """
     base = make_cubic_1d(1.0, 0.0, noise_scale=1.0)
-
-    def diffusion(x):
-        return np.broadcast_to(1.0, np.shape(x)[:-1] + (1, 1)).copy()
-
-    def diffusion_jac(x):
-        return np.zeros(np.shape(x)[:-1] + (1, 1, 1))
-
-    def diffusion_hess(x):
-        return np.zeros(np.shape(x)[:-1] + (1, 1, 1, 1))
-
     base.name = "fig1"
-    base.diffusion = diffusion
-    base.diffusion_jacobians = diffusion_jac
-    base.diffusion_hessians = diffusion_hess
+    base.diffusion = _constant([[1.0]])
+    base.diffusion_jacobians = _zeros(1, 1, 1)
+    base.diffusion_hessians = _zeros(1, 1, 1, 1)
     base.constants.c1 = 0.0
     base.constants.K = 1.0
     return base
@@ -337,15 +346,6 @@ def make_coupled_2d(a, b, sigma1=(0.1, 0.0), sigma2=(0.0, 0.1),
         ], axis=-2)
         return np.stack([h1, h2], axis=-3)
 
-    def diffusion(x):
-        return np.broadcast_to(sig, np.shape(x)[:-1] + (2, 2)).copy()
-
-    def diffusion_jac(x):
-        return np.zeros(np.shape(x)[:-1] + (2, 2, 2))
-
-    def diffusion_hess(x):
-        return np.zeros(np.shape(x)[:-1] + (2, 2, 2, 2))
-
     def lam(x):
         x = np.asarray(x, dtype=float)
         u, v = x[..., 0] ** 2, x[..., 1] ** 2
@@ -374,8 +374,8 @@ def make_coupled_2d(a, b, sigma1=(0.1, 0.0), sigma2=(0.0, 0.1),
     return SdeProblem(
         name="coupled2d", dim_state=2, dim_noise=2,
         drift=drift, drift_jacobian=drift_jac, drift_hessian=drift_hess,
-        diffusion=diffusion, diffusion_jacobians=diffusion_jac,
-        diffusion_hessians=diffusion_hess,
+        diffusion=_constant(sig), diffusion_jacobians=_zeros(2, 2, 2),
+        diffusion_hessians=_zeros(2, 2, 2, 2),
         constants=constants, noise_scale=noise_scale,
         extra_conditions={"eigenvalue_negativity_2d": eig_negativity_margin},
     )
@@ -394,25 +394,6 @@ def make_linear_1d(rate=1.0, sigma=0.2, noise_scale=1.0):
     def drift(x):
         return -rate * x
 
-    def drift_jac(x):
-        return np.broadcast_to(-rate, np.shape(x)[:-1] + (1, 1)).copy()
-
-    def drift_hess(x):
-        return np.zeros(np.shape(x)[:-1] + (1, 1, 1))
-
-    def diffusion(x):
-        return np.broadcast_to(sigma, np.shape(x)[:-1] + (1, 1)).copy()
-
-    def diffusion_jac(x):
-        return np.zeros(np.shape(x)[:-1] + (1, 1, 1))
-
-    def diffusion_hess(x):
-        return np.zeros(np.shape(x)[:-1] + (1, 1, 1, 1))
-
-    def lam(x):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(rate, x.shape[:-1]).copy()
-
     constants = AssumptionConstants(
         b0=rate, b1=0.0,
         c0=0.0,
@@ -421,7 +402,7 @@ def make_linear_1d(rate=1.0, sigma=0.2, noise_scale=1.0):
         K=sigma * sigma,
         tamed_b0=rate, tamed_b1=0.0,
         growth_c0=rate * rate, growth_c1=rate * rate,
-        lambda_fn=lam,
+        lambda_fn=_constant(rate),
         rho=0.19,
         alpha_ses=0.1,
         alpha_mod=0.1,                    # the drift Hessian vanishes
@@ -430,9 +411,10 @@ def make_linear_1d(rate=1.0, sigma=0.2, noise_scale=1.0):
     )
     return SdeProblem(
         name="ou", dim_state=1, dim_noise=1,
-        drift=drift, drift_jacobian=drift_jac, drift_hessian=drift_hess,
-        diffusion=diffusion, diffusion_jacobians=diffusion_jac,
-        diffusion_hessians=diffusion_hess,
+        drift=drift, drift_jacobian=_constant([[-rate]]),
+        drift_hessian=_zeros(1, 1, 1), diffusion=_constant([[sigma]]),
+        diffusion_jacobians=_zeros(1, 1, 1),
+        diffusion_hessians=_zeros(1, 1, 1, 1),
         constants=constants, noise_scale=noise_scale,
     )
 
@@ -474,59 +456,34 @@ _ARCTAN_C2B = 1.0 + 9.0 / (8.0 * math.sqrt(3.0))
 
 
 def make_observable(name):
-    """Build a named observable acting on the first state coordinate."""
-    if name == "identity":
-        return Observable(
-            "identity",
-            eval=lambda x: x[..., 0],
-            grad=_first_coord_grad(lambda x: np.ones_like(x[..., 0])),
-            hess=lambda x: np.zeros(x.shape[:-1] + (x.shape[-1],) * 2),
-            c2b_seminorm=1.0,
-        )
+    """Build a named observable: identity and arctan act on the first state
+    coordinate, coord<i> is coordinate i."""
     if name == "arctan":
-        return Observable(
-            "arctan",
-            eval=lambda x: np.arctan(x[..., 0]),
-            grad=_first_coord_grad(lambda x: 1.0 / (1.0 + x[..., 0] ** 2)),
-            hess=_first_coord_hess(
-                lambda x: -2.0 * x[..., 0] / (1.0 + x[..., 0] ** 2) ** 2),
-            c2b_seminorm=_ARCTAN_C2B,
-        )
-    if name.startswith("coord"):
-        i = int(name[len("coord"):])
-
-        def grad(x, _i=i):
-            g = np.zeros_like(x)
-            g[..., _i] = 1.0
-            return g
-
-        return Observable(
-            name,
-            eval=lambda x, _i=i: x[..., _i],
-            grad=grad,
-            hess=lambda x: np.zeros(x.shape[:-1] + (x.shape[-1],) * 2),
-            c2b_seminorm=1.0,
-        )
+        return _of_coordinate(name, 0, np.arctan,
+                              lambda u: 1.0 / (1.0 + u ** 2),
+                              lambda u: -2.0 * u / (1.0 + u ** 2) ** 2,
+                              _ARCTAN_C2B)
+    if name == "identity" or name.startswith("coord"):
+        i = 0 if name == "identity" else int(name[len("coord"):])
+        return _of_coordinate(name, i, lambda u: u, lambda u: 1.0,
+                              lambda u: 0.0, 1.0)
     raise KeyError("unknown observable %r" % name)
 
 
-def _first_coord_grad(dfn):
+def _of_coordinate(name, i, f, df, d2f, c2b_seminorm):
+    """The observable g(x) = f(x_i), given the derivatives df and d2f of f."""
     def grad(x):
         g = np.zeros_like(np.asarray(x, dtype=float))
-        g[..., 0] = dfn(x)
+        g[..., i] = df(x[..., i])
         return g
 
-    return grad
-
-
-def _first_coord_hess(d2fn):
     def hess(x):
         n = x.shape[-1]
         h = np.zeros(x.shape[:-1] + (n, n))
-        h[..., 0, 0] = d2fn(x)
+        h[..., i, i] = d2f(x[..., i])
         return h
 
-    return hess
+    return Observable(name, lambda x: f(x[..., i]), grad, hess, c2b_seminorm)
 
 
 # ---------------------------------------------------------------------------

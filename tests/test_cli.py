@@ -1,13 +1,21 @@
 """End-to-end tests for the command line front end."""
 import collections
+import contextlib
+import io
 import json
+import math
+import pathlib
 import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from monosde import analysis, cli, engine
 from monosde.cli import main
+from monosde.schemes import KINDS
 
 
 def _read_csv(path):
@@ -537,3 +545,115 @@ def test_defined_stderr_writes_no_flag(tmp_path):
         assert main([command, "--config", cfg, "--out", str(out)]) == 0
         doc = _strict_json(out / name)
         assert "stderr_undefined_at" not in doc
+
+
+@pytest.mark.parametrize("command", ["simulate", "moments", "weak-error",
+                                     "order"])
+def test_scalar_start_on_two_components(tmp_path, command):
+    # a scalar run.x0 on coupled2d starts every component there: the data
+    # equal those of the vector start, and only the headers differ
+    keys = dict(_SMALL_RUNS, **{"problem.name": "coupled2d",
+                                    "order.deltas": [0.1, 0.05, 0.025]})
+    outs = []
+    for x0 in ("1.5", "[1.5, 1.5]"):
+        cfg = _write(tmp_path, "s.cfg", "".join(
+            "%s = %s\n" % kv for kv in keys.items()) + "run.x0 = %s\n" % x0)
+        outs.append(tmp_path / ("x0-%d" % len(outs)))
+        assert main([command, "--config", cfg, "--out", str(outs[-1])]) == 0
+    names = sorted(f.name for f in outs[0].iterdir())
+    assert names == sorted(f.name for f in outs[1].iterdir())
+    for name in names:
+        a, b = (out / name for out in outs)
+        if name.endswith(".csv"):
+            assert _read_csv(a)[1:] == _read_csv(b)[1:], name
+        else:
+            doc_a, doc_b = json.loads(a.read_text()), json.loads(b.read_text())
+            assert doc_a.pop("meta") != doc_b.pop("meta")
+            assert doc_a == doc_b, name
+
+
+@pytest.mark.parametrize("problem,x0", [("coupled2d", "[1, 2, 3]"),
+                                        ("fig1", "[1, 2]")])
+@pytest.mark.parametrize("command", ["simulate", "moments", "weak-error",
+                                     "order"])
+def test_wrong_length_start_is_a_config_error(tmp_path, capsys, command,
+                                              problem, x0):
+    keys = dict(_SMALL_RUNS, **{"problem.name": problem})
+    cfg = _write(tmp_path, "x0.cfg", "".join(
+        "%s = %s\n" % kv for kv in keys.items()) + "run.x0 = %s\n" % x0)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert "run.x0" in capsys.readouterr().err
+    assert not list(out.iterdir())
+
+
+_SWEEP_SIZES = {
+    "run.n_paths": 16, "run.horizon": 0.5, "scheme.delta": 0.05,
+    "reference.delta": 0.005, "reference.n_paths": 16,
+    "order.deltas": [0.1, 0.05, 0.025],
+    "local.n_paths": 16, "local.deltas": [0.1, 0.05], "local.inner_factor": 4,
+    "fig1.n_paths": 16, "fig1.ref_paths": 16, "fig1.ref_delta": 0.005,
+    "fig1.horizon": 0.5, "ses.n_paths": 16, "ses.horizon": 0.5,
+    "check.samples": 100,
+}
+_DIMS = {"fig1": 1, "cubic1d": 1, "coupled2d": 2, "ou": 1}
+
+
+def _numbers_are_finite(out):
+    """Every JSON number is finite (JSON holds no nan), and so is every CSV
+    number, but for the stderr and half-width columns at the record times
+    some document lists under stderr_undefined_at."""
+    undefined = set()
+
+    def walk(doc):
+        if isinstance(doc, dict):
+            undefined.update(doc.get("stderr_undefined_at", ()))
+            for value in doc.values():
+                walk(value)
+
+    for path in out.glob("*.json"):
+        walk(_strict_json(path))
+    for path in out.glob("*.csv"):
+        _, header, rows = _read_csv(path)
+        for row in rows:
+            for name, value in zip(header, row):
+                ok = math.isfinite(float(value)) or (
+                    ("stderr" in name or "halfwidth" in name)
+                    and float(row[0]) in undefined)
+                assert ok, (path.name, name, row)
+
+
+def _sweep_run(argv, out):
+    with contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv + ["--out", str(out)])
+    return code, {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
+
+@settings(max_examples=60, deadline=None)
+@given(command=st.sampled_from(sorted(cli._HANDLERS)),
+       problem=st.sampled_from(sorted(_DIMS)),
+       kind=st.sampled_from(KINDS),
+       start=st.floats(-3.0, 3.0, allow_nan=False).map(lambda v: round(v, 2)),
+       vector=st.booleans(), seed=st.integers(0, 999))
+@example(command="simulate", problem="coupled2d", kind="tte", start=1.5,
+         vector=False, seed=3)
+@example(command="moments", problem="coupled2d", kind="tte", start=-2.0,
+         vector=False, seed=1)
+def test_tiny_runs_exit_cleanly_with_finite_reproducible_outputs(
+        command, problem, kind, start, vector, seed):
+    x0 = [start] * _DIMS[problem] if vector else start
+    keys = dict(_SWEEP_SIZES, **{
+        "problem.name": problem, "scheme.kind": kind, "run.x0": x0,
+        "local.states": [0.0, x0], "ses.points": [x0]})
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        cfg = _write(tmp, "sweep.cfg", "".join(
+            "%s = %s\n" % (k, json.dumps(v)) for k, v in keys.items()))
+        argv = [command, "--config", cfg, "--seed", str(seed)]
+        code, files = _sweep_run(argv + ["--threads", "1"], tmp / "a")
+        assert code in (0, 2, 3, 4)
+        if code != 0:
+            return
+        _numbers_are_finite(tmp / "a")
+        assert _sweep_run(argv + ["--threads", "1"], tmp / "b") == (0, files)
+        assert _sweep_run(argv + ["--threads", "3"], tmp / "c") == (0, files)

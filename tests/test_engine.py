@@ -686,3 +686,18 @@ def test_fed_blocks_on_block_workers_equal_one_worker():
                                    dataclasses.replace(spec, threads=4), obs)
     assert not multiprocessing.active_children()
     _assert_results_equal(one, four)
+
+
+def test_scalar_start_sets_every_component():
+    problem = m.make_problem("coupled2d")
+    obs = [m.make_observable("coord0"), m.make_observable("coord1")]
+    scheme = m.SchemeConfig("tamed", 0.05)
+    scalar, vector = (
+        m.simulate_ensemble(problem, scheme,
+                            m.EnsembleSpec(x0, 64, 0.5, seed=2), obs)
+        for x0 in (1.5, [1.5, 1.5]))
+    _assert_results_equal(scalar, vector)
+    assert scalar.observables["coord1"].mean[0] == 1.5
+    for x0 in ([1.0, 2.0, 3.0], [[1.5, 1.5]]):
+        with pytest.raises(ValueError, match="length-2"):
+            m.simulate_ensemble(problem, scheme, m.EnsembleSpec(x0, 4, 0.5))

@@ -201,3 +201,21 @@ def test_a_read_draws_only_the_keys_it_needs(monkeypatch, width):
     drawn.clear()
     assert sum(z.shape[0] for z in _fine_rows(plan, 1, _windows(rows, 16))) == rows
     assert sum(drawn) == expected
+
+
+def test_block_read_across_chunk_and_key_boundaries_equals_path_reads():
+    # a read from mid-chunk that crosses fine step 1024, over paths on both
+    # sides of key boundary 256, against the per-path oracle
+    plan = m.NoisePlan(6, 300, 2, fine_delta=0.01, horizon=11.0)
+    start, n = 1000, 40
+    block = fine_increments_block(plan, 0, start, n)
+    assert block.shape == (n, 300, 2)
+    for i in (0, 255, 256, 299):
+        np.testing.assert_array_equal(
+            block[:, i], m.increments_for(plan, i)[start:start + n])
+
+
+def test_zero_length_block_read_is_empty():
+    plan = m.NoisePlan(6, 300, 2, fine_delta=0.01, horizon=11.0)
+    for start in (0, 1024, 1100):
+        assert fine_increments_block(plan, 0, start, 0).shape == (0, 300, 2)
