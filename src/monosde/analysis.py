@@ -18,7 +18,7 @@ from .engine import (EnsembleSpec, _prepare_run, _simulate, _start,
                      simulate_ensemble)
 from .noise import _whole_multiple
 from .problems import Observable
-from .schemes import SchemeConfig, epsilon_delta, make_stepper, select_alpha
+from .schemes import SchemeConfig, _tte_alpha, epsilon_delta, make_stepper
 
 
 class NonFiniteEstimate(ArithmeticError):
@@ -356,6 +356,17 @@ def convergence_order(problem, kind, deltas, observable, x0, horizon, n_paths,
         intercept=float(intercept), n_paths=n_paths, seed=seed)
 
 
+def _loglog_slope(pairs):
+    """The least-squares slope of log err on log x over the (x, err) pairs
+    with err > 0, or None when fewer than three pairs have err > 0."""
+    pts = [(x, err) for x, err in pairs if err > 0]
+    if len(pts) < 3:
+        return None
+    x, err = zip(*pts)
+    slope, _, _ = _wls_line(np.log(x), np.log(err), np.ones(len(pts)))
+    return float(slope)
+
+
 def local_weak_error_profile(problem, scheme, states, deltas, observable,
                              n_paths, seed=0, inner_factor=100, threads=1):
     """One-step weak errors phi_hat(x, delta) on a grid of starts and steps.
@@ -388,27 +399,13 @@ def local_weak_error_profile(problem, scheme, states, deltas, observable,
                                      halfwidth=float(1.96 * se[-1]))
     rows = [cells[i, j] for i in range(len(states)) for j in range(len(deltas))]
 
-    growth = None
     big_d = deltas[-1]
-    pts = [(float(np.linalg.norm(r.x)), r.err) for r in rows
-           if r.delta == big_d and np.linalg.norm(r.x) >= 1.0 and r.err > 0]
-    if len(pts) >= 3:
-        lx = np.log([p[0] for p in pts])
-        le = np.log([p[1] for p in pts])
-        growth, _, _ = _wls_line(lx, le, np.ones(lx.size))
-        growth = float(growth)
-
-    dslope = None
+    growth = _loglog_slope((float(np.linalg.norm(r.x)), r.err) for r in rows
+                           if r.delta == big_d and np.linalg.norm(r.x) >= 1.0)
     norms = [float(np.linalg.norm(s)) for s in states]
     x_small = states[int(np.argmin(norms))]
-    pts = [(r.delta, r.err) for r in rows
-           if np.array_equal(r.x, x_small) and r.err > 0]
-    if len(pts) >= 3:
-        ld = np.log([p[0] for p in pts])
-        le = np.log([p[1] for p in pts])
-        dslope, _, _ = _wls_line(ld, le, np.ones(ld.size))
-        dslope = float(dslope)
-
+    dslope = _loglog_slope((r.delta, r.err) for r in rows
+                           if np.array_equal(r.x, x_small))
     return ProfileReport(scheme_kind=scheme.kind, observable=observable.name,
                          rows=rows, growth_exponent=growth,
                          delta_exponent=dslope, n_paths=n_paths, seed=seed)
@@ -624,13 +621,8 @@ def drift_step_audit(problem, scheme, radii=None, n_directions=8, seed=0):
     """
     delta = scheme.delta
     cst = problem.constants
-    if scheme.kind == "tte":
-        alpha = scheme.alpha
-        if alpha is None:
-            alpha, _ = select_alpha(cst)
-        eps = epsilon_delta(cst, alpha, delta)
-    else:
-        eps = 1.0
+    eps = (epsilon_delta(cst, _tte_alpha(scheme, cst), delta)
+           if scheme.kind == "tte" else 1.0)
     slack = 2.0 * delta * cst.tamed_b1 + 2.0 * delta**2 * cst.growth_c1 + 1e-12
 
     if radii is None:
@@ -694,11 +686,9 @@ def moment_recursion_audit(problem, scheme, result, x0, power=2):
         raise ValueError("moment audit needs |X|^%s recorded at every step"
                          % power)
     cst = problem.constants
-    alpha = scheme.alpha
-    if alpha is None:
-        alpha, _ = select_alpha(cst)
     delta = scheme.delta
-    eps = epsilon_delta(cst, alpha, delta)
+    grid = drift_step_audit(problem, scheme)
+    eps = grid["eps"]
 
     series = result.moments[power]
     x0 = _start(x0, problem.dim_state)
@@ -719,7 +709,6 @@ def moment_recursion_audit(problem, scheme, result, x0, power=2):
         bound = eps + allowance + 3.0 * se / base
         contraction_ok = bool(first_ratio <= bound)
 
-    grid = drift_step_audit(problem, scheme)
     ok = grid["pass"] and result.n_blowups == 0
     if contraction_ok is not None:
         ok = ok and contraction_ok

@@ -11,9 +11,11 @@ master seed; rerunning the same config reproduces byte-identical files.
 """
 
 import argparse
+import math
 import pathlib
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -49,7 +51,7 @@ def _fmt(v):
 
 
 def _problem_from_cfg(cfg, default_name="fig1"):
-    name = str(get_value(cfg, "problem.name", default_name))
+    name = get_value(cfg, "problem.name", default_name, str)
     params = {k.split(".", 1)[1]: v for k, v in cfg.items()
               if k.startswith("problem.") and k != "problem.name"}
     try:
@@ -63,7 +65,7 @@ def _positive(cfg, key, default):
 
 
 def _kind(cfg, key, default):
-    kind = str(get_value(cfg, key, default))
+    kind = get_value(cfg, key, default, str)
     if kind not in KINDS:
         raise ConfigError("config key %r: unknown scheme kind %r (known: %s)"
                           % (key, kind, ", ".join(KINDS)))
@@ -87,23 +89,44 @@ def _reference_from_cfg(cfg, default_delta, default_paths):
 
 
 def _observable_from_cfg(cfg, default="identity"):
-    name = str(get_value(cfg, "observable", default))
+    name = get_value(cfg, "observable", default, str)
     try:
         return make_observable(name)
     except (ValueError, KeyError) as exc:
         raise ConfigError("config key 'observable': %s" % exc)
 
 
-def _x0_from_cfg(cfg, problem, default=1.0):
-    raw = get_value(cfg, "run.x0", default)
-    x0 = np.atleast_1d(np.asarray(raw, dtype=float))
-    if not np.all(np.isfinite(x0)):
-        raise ConfigError("config key 'run.x0' must be finite")
-    try:
-        _start(x0, problem.dim_state)
-    except ValueError as exc:
-        raise ConfigError("config key 'run.x0': %s" % exc)
-    return x0
+def _number(v, low=-math.inf):
+    """v as given if it is finite and above low; TypeError unless v is a
+    real number."""
+    if not (math.isfinite(v) and v > low):
+        raise ValueError("%r is out of range" % (v,))
+    return v
+
+
+def _list_of(entry, name):
+    """A get_value cast, named name, from a list to [entry(v) for each v]."""
+    def cast(value):
+        if not isinstance(value, list):
+            raise TypeError("not a list")
+        return [entry(v) for v in value]
+    cast.__name__ = name
+    return cast
+
+
+_POSITIVES = _list_of(lambda v: _number(float(v), 0.0),
+                      "a list of positive numbers")
+
+
+def _start_of(n):
+    """A get_value cast to a finite start of n components (engine._start)."""
+    def start(value):
+        x0 = np.atleast_1d(np.asarray(value, dtype=float))
+        if not np.all(np.isfinite(_start(x0, n))):
+            raise ValueError("not finite")
+        return x0
+    start.__name__ = "a finite start"
+    return start
 
 
 def _path_count(cfg, key, default):
@@ -186,12 +209,12 @@ def _run_ensemble(ctx, record_default, observable=None):
     scheme = _scheme_from_cfg(cfg)
     observables = ([] if observable is None
                    else [_observable_from_cfg(cfg, default=observable)])
-    x0 = _x0_from_cfg(cfg, problem)
+    x0 = get_value(cfg, "run.x0", np.ones(1), _start_of(problem.dim_state))
     n_paths, horizon = _run_ints(cfg)
-    record_dt = get_value(cfg, "run.record_dt", record_default)
-    record_dt = None if record_dt is None else float(record_dt)
+    record_dt = get_value(cfg, "run.record_dt", record_default, float)
     _require_grid(horizon, record_dt, scheme.delta, _RUN_GRID)
-    orders = tuple(get_value(cfg, "run.moment_orders", [1, 2, 4]))
+    orders = get_value(cfg, "run.moment_orders", [1, 2, 4],
+                       _list_of(_number, "a list of finite numbers"))
     spec = EnsembleSpec(x0, n_paths, horizon, seed=ctx.seed,
                         record_dt=record_dt, threads=ctx.threads,
                         moment_orders=orders)
@@ -230,8 +253,9 @@ def cmd_fig1(ctx):
     n_paths = _path_count(cfg, "fig1.n_paths", 1000)
     ref_delta = _positive(cfg, "fig1.ref_delta", 5e-4)
     ref_paths = _path_count(cfg, "fig1.ref_paths", 10000)
-    alphas = [float(a) for a in get_value(cfg, "fig1.alphas", [1.0, 1.3, 5.0])]
-    x0s = [float(v) for v in get_value(cfg, "fig1.x0s", [1.0, 100.0])]
+    alphas = get_value(cfg, "fig1.alphas", [1.0, 1.3, 5.0], _POSITIVES)
+    x0s = get_value(cfg, "fig1.x0s", [1.0, 100.0], _list_of(
+        lambda v: _number(float(v)), "a list of finite numbers"))
     if _whole_multiple(delta, ref_delta) is None:
         raise ConfigError("fig1.ref_delta must divide fig1.delta")
     _require_grid(horizon, None, delta, ("fig1.horizon", None, "fig1.delta"))
@@ -284,7 +308,7 @@ def cmd_weak_error(ctx):
     problem = _problem_from_cfg(cfg)
     scheme = _scheme_from_cfg(cfg)
     obs = _observable_from_cfg(cfg, default="arctan")
-    x0 = _x0_from_cfg(cfg, problem)
+    x0 = get_value(cfg, "run.x0", np.ones(1), _start_of(problem.dim_state))
     n_paths, horizon = _run_ints(cfg)
     record_dt = get_value(cfg, "run.record_dt", 0.25, float)
     reference = _reference_from_cfg(cfg, 5e-4, 10000)
@@ -314,27 +338,23 @@ def cmd_order(ctx):
     cfg = ctx.cfg
     problem = _problem_from_cfg(cfg)
     scheme = _scheme_from_cfg(cfg)
-    deltas = [float(v) for v in get_value(cfg, "order.deltas",
-                                          [0.2, 0.1, 0.05, 0.025])]
+    deltas = get_value(cfg, "order.deltas", [0.2, 0.1, 0.05, 0.025],
+                       _POSITIVES)
     if len(deltas) < 3:
         raise ConfigError("need >= 3 deltas (config key 'order.deltas')")
     obs = _observable_from_cfg(cfg)
-    x0 = _x0_from_cfg(cfg, problem)
+    x0 = get_value(cfg, "run.x0", np.ones(1), _start_of(problem.dim_state))
     n_paths, horizon = _run_ints(cfg)
-    record_dt = get_value(cfg, "run.record_dt", 0.25, float)
+    record_dt = _positive(cfg, "run.record_dt", 0.25)
 
     exact = None
-    use_exact = get_value(cfg, "order.use_exact",
-                          problem.name == "ou" and obs.name == "identity")
-    if use_exact:
-        if problem.name != "ou" or obs.name != "identity":
+    ou_mean = problem.name == "ou" and obs.name == "identity"
+    if get_value(cfg, "order.use_exact", ou_mean, bool):
+        if not ou_mean:
             raise ConfigError("order.use_exact needs the ou problem with the "
                               "identity observable")
-        rate = float(get_value(cfg, "problem.rate", 1.0))
-        x_start = float(x0[0])
-
-        def exact(times, _r=rate, _x=x_start):
-            return ou_exact_mean(_x, np.asarray(times), _r)
+        exact = partial(ou_exact_mean, float(x0[0]),
+                        rate=get_value(cfg, "problem.rate", 1.0, float))
 
     reference = _reference_from_cfg(cfg, min(deltas) / 8.0,
                                     max(n_paths, 10000))
@@ -368,8 +388,10 @@ def cmd_local_error(ctx):
     problem = _problem_from_cfg(cfg)
     scheme = _scheme_from_cfg(cfg, default_kind="em", default_delta=0.1)
     obs = _observable_from_cfg(cfg)
-    states = get_value(cfg, "local.states", [0.0, 0.5, 1.0, 2.0, 4.0, 8.0])
-    deltas = [float(v) for v in get_value(cfg, "local.deltas", [0.2, 0.1, 0.05])]
+    states = get_value(cfg, "local.states", [0.0, 0.5, 1.0, 2.0, 4.0, 8.0],
+                       _list_of(_start_of(problem.dim_state),
+                                "a list of finite starts"))
+    deltas = get_value(cfg, "local.deltas", [0.2, 0.1, 0.05], _POSITIVES)
     n_paths = _path_count(cfg, "local.n_paths", 4096)
     inner = get_value(cfg, "local.inner_factor", 100, int)
     if inner < 2:
@@ -413,7 +435,8 @@ def cmd_ses(ctx):
     cfg = ctx.cfg
     problem = _problem_from_cfg(cfg)
     obs = _observable_from_cfg(cfg)
-    points = get_value(cfg, "ses.points", [1.0])
+    points = get_value(cfg, "ses.points", [1.0], _list_of(
+        _start_of(problem.dim_state), "a list of finite starts"))
     fine_delta = _positive(cfg, "ses.fine_delta", 0.01)
     horizon = _positive(cfg, "ses.horizon", 6.0)
     n_paths = _path_count(cfg, "ses.n_paths", 4096)
@@ -421,7 +444,7 @@ def cmd_ses(ctx):
     _require_grid(horizon, record_dt, fine_delta,
                   ("ses.horizon", "ses.record_dt", "ses.fine_delta"))
     bump = _positive(cfg, "ses.bump", 0.05)
-    second = bool(get_value(cfg, "ses.second", True))
+    second = get_value(cfg, "ses.second", True, bool)
     rep = ses_probe(problem, obs, points, horizon, n_paths, fine_delta,
                     seed=ctx.seed, record_dt=record_dt, second_order=second,
                     bump=bump, threads=ctx.threads)
@@ -455,23 +478,7 @@ def cmd_check(ctx):
     rep = check_assumptions(problem, radius=radius, samples=samples,
                             seed=ctx.seed)
     meta = ctx.meta([("problem", problem.name)])
-    write_json(ctx.out / "check.json", dict(meta), {
-        "problem": rep.problem,
-        "radius": rep.radius,
-        "samples": rep.samples,
-        "grid_points": rep.grid_points,
-        "overall_pass": rep.overall_pass,
-        "conditions": [{
-            "condition": c.condition,
-            "description": c.description,
-            "constant": c.constant,
-            "worst_margin": c.worst_margin,
-            "worst_x": None if c.worst_x is None else np.asarray(c.worst_x),
-            "passed": c.passed,
-            "skipped": c.skipped,
-            "note": c.note,
-        } for c in rep.conditions],
-    })
+    write_json(ctx.out / "check.json", dict(meta), asdict(rep))
     return 0
 
 
@@ -515,31 +522,21 @@ def main(argv=None):
             cfg["rng.master_seed"] = args.seed
         if args.threads is not None:
             cfg["run.threads"] = args.threads
-        seed = int(get_value(cfg, "rng.master_seed", 0))
+        seed = get_value(cfg, "rng.master_seed", 0, int)
         if seed < 0:
             raise ConfigError("config key 'rng.master_seed' must be >= 0")
-        threads = int(get_value(cfg, "run.threads", 1))
+        threads = get_value(cfg, "run.threads", 1, int)
         if threads < 1:
             raise ConfigError("config key 'run.threads' must be >= 1")
         out = pathlib.Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        ctx = _Context(cfg=cfg, out=out, seed=seed, threads=threads,
-                       cfg_hash=config_hash(cfg))
-    except ConfigError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print("config error: cannot prepare output directory (%s)" % exc,
-              file=sys.stderr)
-        return 2
-
-    handler = _HANDLERS[args.command]
-    try:
-        return handler(ctx)
-    except ConfigError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return 2
-    except DeltaTooLarge as exc:
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError("cannot prepare output directory (%s)" % exc)
+        return _HANDLERS[args.command](_Context(
+            cfg=cfg, out=out, seed=seed, threads=threads,
+            cfg_hash=config_hash(cfg)))
+    except (ConfigError, DeltaTooLarge) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
     except AllPathsBlewUp as exc:

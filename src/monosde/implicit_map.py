@@ -218,6 +218,18 @@ def solve_fdelta(problem, y, delta, config=None):
     return z
 
 
+def _widen(gfun, x, sign):
+    """Move x by doubling widths in the direction sign while
+    sign * gfun(x) < 0 holds (a NaN residual stops it), at most 64 times."""
+    width = max(1.0, abs(x))
+    for _ in range(64):
+        if not sign * gfun(x) < 0:
+            break
+        x += sign * width
+        width *= 2.0
+    return x
+
+
 def _bisect_1d(problem, z, y, delta, r, tol, cfg):
     """Guarded bisection for the scalar residual; overwrites unconverged entries."""
     flat_z = z.reshape(-1)
@@ -231,23 +243,8 @@ def _bisect_1d(problem, z, y, delta, r, tol, cfg):
         def gfun(v):
             return float(_residual(problem, np.array([v]), np.array([yi]), delta)[0])
 
-        lo = hi = float(flat_z[i]) if np.isfinite(flat_z[i]) else yi
-        width = max(1.0, abs(lo))
-        g0 = gfun(lo)
-        k = 0
-        while g0 > 0 and k < 64:
-            lo -= width
-            width *= 2.0
-            g0 = gfun(lo)
-            k += 1
-        width = max(1.0, abs(hi))
-        g1 = gfun(hi)
-        k = 0
-        while g1 < 0 and k < 64:
-            hi += width
-            width *= 2.0
-            g1 = gfun(hi)
-            k += 1
+        start = float(flat_z[i]) if np.isfinite(flat_z[i]) else yi
+        lo, hi = _widen(gfun, start, -1.0), _widen(gfun, start, 1.0)
         for _ in range(cfg.max_bisection_iters):
             mid = 0.5 * (lo + hi)
             gm = gfun(mid)

@@ -217,7 +217,7 @@ def _zeros(*shape):
     return field
 
 
-def make_cubic_1d(a, b, noise_scale=_SQRT2):
+def make_cubic_1d(a=1.0, b=0.3, noise_scale=_SQRT2):
     """1-D problem with U0(x) = -x^3 - a*x and V(x) = b*arctan(x).
 
     Satisfies the monotone-drift assumptions with lambda(x) = 3x^2 + a.
@@ -298,7 +298,7 @@ def make_fig1():
     return base
 
 
-def make_coupled_2d(a, b, sigma1=(0.1, 0.0), sigma2=(0.0, 0.1),
+def make_coupled_2d(a=1.0, b=1.0, sigma1=(0.1, 0.0), sigma2=(0.0, 0.1),
                     noise_scale=_SQRT2):
     """2-D coupled cubic problem with constant diffusion fields.
 
@@ -432,23 +432,17 @@ def ou_exact_var(t, rate=1.0, sigma=0.2, noise_scale=1.0):
 # ---------------------------------------------------------------------------
 # registry + observables
 
+_FACTORIES = {"cubic1d": make_cubic_1d, "coupled2d": make_coupled_2d,
+              "fig1": make_fig1, "ou": make_linear_1d}
+
+
 def make_problem(name, **params):
-    """Build a registered problem by name: cubic1d, coupled2d, fig1, ou."""
-    if name == "cubic1d":
-        return make_cubic_1d(params.get("a", 1.0), params.get("b", 0.3),
-                             noise_scale=params.get("noise_scale", _SQRT2))
-    if name == "coupled2d":
-        return make_coupled_2d(
-            params.get("a", 1.0), params.get("b", 1.0),
-            sigma1=params.get("sigma1", (0.1, 0.0)),
-            sigma2=params.get("sigma2", (0.0, 0.1)),
-            noise_scale=params.get("noise_scale", _SQRT2))
-    if name == "fig1":
-        return make_fig1()
-    if name == "ou":
-        return make_linear_1d(params.get("rate", 1.0), params.get("sigma", 0.2),
-                              noise_scale=params.get("noise_scale", 1.0))
-    raise KeyError("unknown problem %r (known: cubic1d, coupled2d, fig1, ou)" % name)
+    """Build a registered problem by name: cubic1d, coupled2d, fig1, ou. The
+    factory's signature holds the defaults; an unknown param is a TypeError."""
+    if name not in _FACTORIES:
+        raise KeyError("unknown problem %r (known: %s)"
+                       % (name, ", ".join(_FACTORIES)))
+    return _FACTORIES[name](**params)
 
 
 # sup|f''| for arctan is 9/(8*sqrt(3)), attained at x = 1/sqrt(3)

@@ -70,6 +70,11 @@ def select_alpha(constants):
     return alpha, eps_fn
 
 
+def _tte_alpha(config, constants):
+    """The tte truncation coefficient: config.alpha, else select_alpha's."""
+    return select_alpha(constants)[0] if config.alpha is None else config.alpha
+
+
 def epsilon_delta(constants, alpha, delta):
     """Contraction factor 1 - (2*tamed_b0*alpha - growth_c0)*delta^2/(1+delta*alpha)^2."""
     b0 = constants.tamed_b0
@@ -112,9 +117,7 @@ def make_stepper(problem, config):
             denom = 1.0 + delta * _norm(u0)[..., None]
             return x + delta * u0 / denom + noise(x, dB)
     elif kind == "tte":
-        alpha = config.alpha
-        if alpha is None:
-            alpha, _ = select_alpha(problem.constants)
+        alpha = _tte_alpha(config, problem.constants)
         q = problem.constants.q
 
         def step(x, dB):

@@ -657,3 +657,92 @@ def test_tiny_runs_exit_cleanly_with_finite_reproducible_outputs(
         _numbers_are_finite(tmp / "a")
         assert _sweep_run(argv + ["--threads", "1"], tmp / "b") == (0, files)
         assert _sweep_run(argv + ["--threads", "3"], tmp / "c") == (0, files)
+
+
+def _refused(tmp_path, command, keys):
+    """Run command on keys; return its exit code and stderr, failing the
+    test if an exception escapes main or any output file is written."""
+    cfg = _write(tmp_path, "bad.cfg", "".join(
+        "%s = %s\n" % (k, json.dumps(v)) for k, v in keys.items()))
+    out = tmp_path / "o"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([command, "--config", cfg, "--out", str(out)])
+    assert not list(out.glob("*.csv")) and not list(out.glob("*.json"))
+    return code, err.getvalue()
+
+
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize("command,problem,key,value,named", [
+    ("simulate", "fig1", "run.moment_orders", 5, None),
+    ("simulate", "fig1", "run.moment_orders", ["a"], None),
+    ("moments", "fig1", "run.moment_orders", [1, _NAN], None),
+    ("order", "fig1", "order.deltas", 5, None),
+    ("ses", "fig1", "ses.points", 5, None),
+    ("local-error", "fig1", "local.states", 5, None),
+    ("fig1", "fig1", "fig1.x0s", [[1, 2]], None),
+    ("simulate", "fig1", "run.threads", "x", None),
+    ("simulate", "fig1", "rng.master_seed", "abc", None),
+    ("simulate", "fig1", "run.record_dt", "abc", None),
+    ("weak-error", "fig1", "run.x0", "abc", None),
+    ("ses", "coupled2d", "ses.points", [[1, 2, 3]], None),
+    ("local-error", "coupled2d", "local.states", [[1, 2, 3]], None),
+    ("ses", "fig1", "ses.points", [_NAN], None),
+    ("simulate", "fig1", "problem.a", 5, "'a'"),
+    ("simulate", "cubic1d", "problem.rate", 5, "'rate'"),
+    ("fig1", "fig1", "fig1.alphas", [-1.0], None),
+    ("fig1", "fig1", "fig1.alphas", [0.0], None),
+    ("fig1", "fig1", "fig1.x0s", [_NAN], None),
+    ("local-error", "fig1", "local.deltas", [-0.1, 0.1, 0.05], None),
+    ("order", "fig1", "order.deltas", [0.1, 0.05, -0.025], None),
+    ("order", "fig1", "run.record_dt", -0.5, None),
+])
+def test_malformed_value_is_a_config_error(tmp_path, command, problem, key,
+                                           value, named):
+    keys = dict(_SWEEP_SIZES, **{"problem.name": problem, key: value})
+    code, err = _refused(tmp_path, command, keys)
+    assert code == 2, err
+    assert (named or repr(key)) in err
+
+
+# each list or start key, with the commands that read it and whether its
+# value (or each entry of it) is a start
+_LIST_AND_START_KEYS = {
+    "run.x0": (("simulate", "moments", "weak-error", "order"), True),
+    "run.moment_orders": (("simulate", "moments"), False),
+    "fig1.alphas": (("fig1",), False), "fig1.x0s": (("fig1",), False),
+    "order.deltas": (("order",), False), "local.deltas": (("local-error",), False),
+    "local.states": (("local-error",), True), "ses.points": (("ses",), True),
+}
+
+
+@st.composite
+def _malformed(draw):
+    """(command, problem, key, value) with one malformed list or start key."""
+    key = draw(st.sampled_from(sorted(_LIST_AND_START_KEYS)))
+    commands, start = _LIST_AND_START_KEYS[key]
+    problem = draw(st.sampled_from(sorted(_DIMS)))
+    v = draw(st.floats(-3.0, 3.0, allow_nan=False))
+    word = draw(st.text("abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=6))
+    forms = {"string": word, "nested": [[[v]]], "nan": _NAN}
+    if start:
+        forms["wrong length"] = [v] * draw(st.integers(_DIMS[problem] + 1, 4))
+    if key != "run.x0":
+        forms = {name: [value] for name, value in forms.items()}
+        forms.update(scalar=v, string=word)
+    value = forms[draw(st.sampled_from(sorted(forms)))]
+    return draw(st.sampled_from(commands)), problem, key, value
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_malformed())
+def test_malformed_list_or_start_is_a_config_error(case):
+    # ROADMAP item 3's sweep over malformed values
+    command, problem, key, value = case
+    keys = dict(_SWEEP_SIZES, **{"problem.name": problem, key: value})
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err = _refused(pathlib.Path(tmp), command, keys)
+    assert code == 2, err
+    assert repr(key) in err

@@ -54,6 +54,14 @@ def test_registry_params_pass_through():
     np.testing.assert_allclose(p.drift(np.array([1.0])), [-3.0])
 
 
+@pytest.mark.parametrize("name,param", [("fig1", "a"), ("cubic1d", "rate"),
+                                        ("ou", "a"), ("coupled2d", "sigma")])
+def test_registry_refuses_unknown_params(name, param):
+    # each factory's signature holds its parameters, so none is dropped
+    with pytest.raises(TypeError, match=param):
+        m.make_problem(name, **{param: 5})
+
+
 @pytest.mark.parametrize("problem", [
     m.make_cubic_1d(1.0, 0.3),
     m.make_coupled_2d(1.0, 1.0),
